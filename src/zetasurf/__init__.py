@@ -8,9 +8,9 @@ __version__ = "0.1.0"
 from .anomaly import (AnomalyReport, MasslessReport, mass_shift_prefactor,
                       residue_phase_space, verify_anomaly, verify_massless)
 from .bessel import k0
-from .gff import (FieldSample, MCEstimate, reweighted_mode_variance,
-                  sample_fields, smoothed_wick, verify_measure_identity,
-                  wick_mass_term)
+from .gff import (FieldSample, MCEstimate, measure_estimates,
+                  reweighted_mode_variance, sample_fields, smoothed_wick,
+                  verify_measure_identity, wick_mass_term)
 from .green import (Det2Result, FinitePart, cf_mean, det2, gamma0,
                     green_pointwise, torus_cf_image_sum)
 from .heat import HeatCoeffs, HeatIntegral, heat_coeffs, heat_integral, heat_trace
@@ -32,4 +32,5 @@ __all__ = [
     "mass_shift_prefactor", "residue_phase_space", "verify_massless",
     "FieldSample", "MCEstimate", "sample_fields", "wick_mass_term",
     "smoothed_wick", "verify_measure_identity", "reweighted_mode_variance",
+    "measure_estimates",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .anomaly import (mass_shift_prefactor, residue_phase_space, verify_anomaly,
                       verify_massless)
-from .gff import reweighted_mode_variance, verify_measure_identity
+from .gff import measure_estimates
 from .green import cf_mean, det2, gamma0, torus_cf_image_sum
 from .heat import heat_coeffs, heat_integral, heat_trace
 from .sumtools import neville_zero
@@ -214,9 +214,7 @@ def _cmd_verify_massless(args) -> tuple[list, bool]:
 
 
 def _gff_record(model, m0, m1, lam_max, n, seed, threads) -> dict:
-    est = verify_measure_identity(model, m0, m1, lam_max, n, seed, threads=threads)
-    rw = reweighted_mode_variance(model, m0, m1, lam_max, n, seed, mode=0,
-                                  threads=threads)
+    est, rw = measure_estimates(model, m0, m1, lam_max, n, seed, mode=0, threads=threads)
     d2 = det2(model, m0 * m0, m1 * m1, lam_max=lam_max)
     det2_target = math.exp(-0.5 * d2.truncated_log)
     target_match = abs(est.target / det2_target - 1.0)
@@ -377,6 +375,9 @@ def _build_parser() -> _Parser:
 
 def _validate_config(args) -> None:
     # fail fast, naming the offending flag, before any computation starts
+    for flag in ("m0", "m1", "sigma", "tol", "lambda_max"):
+        if not math.isfinite(getattr(args, flag)):
+            raise ValueError(f"--{flag.replace('_', '-')} must be finite")
     if args.m0 < 0:
         raise ValueError("--m0 must be >= 0")
     if args.m1 < 0:

@@ -37,6 +37,7 @@ __all__ = [
     "smoothed_wick",
     "verify_measure_identity",
     "reweighted_mode_variance",
+    "measure_estimates",
 ]
 
 
@@ -176,10 +177,8 @@ def _truncated_product_target(m0sq: float, m1sq: float, lambdas: np.ndarray) -> 
     return math.exp(-0.5 * stable_sum(np.log1p(x) - x))
 
 
-def verify_measure_identity(model: SurfaceModel, m0: float, m1: float, lam_max: float,
-                            n: int, seed: int, chunk_size: int = 65536,
-                            threads: int | None = None) -> MCEstimate:
-    """MC estimate of E[exp(-m1^2 W_C / 2)] against the exact truncated product."""
+def _estimates(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode):
+    """Both Monte Carlo estimates from one pass over the (seed, chunk) stream."""
     if m0 <= 0:
         raise ValueError("m0 must be positive")
     if m1 < 0:
@@ -187,23 +186,17 @@ def verify_measure_identity(model: SurfaceModel, m0: float, m1: float, lam_max: 
     if n < 1:
         raise ValueError("n must be >= 1")
     lambdas, shift, sums = _collect_stats(model, m0, m1, lam_max, n, seed,
-                                          chunk_size, threads, mode=0)
+                                          chunk_size, threads, mode=mode)
+    # E[exp(-m1^2 W_C / 2)] against the exact truncated product
     mean = math.exp(shift) * sums["w"] / n
     second = math.exp(2.0 * shift) * sums["w2"]
     var = max(0.0, (second - n * mean * mean) / max(1, n - 1))
     stderr = math.sqrt(var / n)
     target = _truncated_product_target(m0 * m0, m1 * m1, lambdas)
     z = 0.0 if stderr == 0.0 else (mean - target) / stderr
-    return MCEstimate(mean=mean, stderr=stderr, n_samples=n, target=target, z_score=z)
+    identity = MCEstimate(mean=mean, stderr=stderr, n_samples=n, target=target, z_score=z)
 
-
-def reweighted_mode_variance(model: SurfaceModel, m0: float, m1: float, lam_max: float,
-                             n: int, seed: int, mode: int = 0,
-                             chunk_size: int = 65536,
-                             threads: int | None = None) -> MCEstimate:
-    """Reweighted second moment E[w phi_mode^2]/E[w] vs 1/(m0^2 + m1^2 + lambda)."""
-    lambdas, shift, sums = _collect_stats(model, m0, m1, lam_max, n, seed,
-                                          chunk_size, threads, mode=mode)
+    # E[w phi_mode^2]/E[w] against 1/(m0^2 + m1^2 + lambda)
     mu_b = sums["w"] / n
     mu_a = sums["a"] / n
     ratio = mu_a / mu_b
@@ -215,4 +208,28 @@ def reweighted_mode_variance(model: SurfaceModel, m0: float, m1: float, lam_max:
     stderr = math.sqrt(max(0.0, var_r) / n)
     target = 1.0 / (m0 * m0 + m1 * m1 + float(lambdas[mode]))
     z = 0.0 if stderr == 0.0 else (ratio - target) / stderr
-    return MCEstimate(mean=ratio, stderr=stderr, n_samples=n, target=target, z_score=z)
+    variance = MCEstimate(mean=ratio, stderr=stderr, n_samples=n, target=target, z_score=z)
+    return identity, variance
+
+
+def verify_measure_identity(model: SurfaceModel, m0: float, m1: float, lam_max: float,
+                            n: int, seed: int, chunk_size: int = 65536,
+                            threads: int | None = None) -> MCEstimate:
+    """MC estimate of E[exp(-m1^2 W_C / 2)] against the exact truncated product."""
+    return _estimates(model, m0, m1, lam_max, n, seed, chunk_size, threads, 0)[0]
+
+
+def reweighted_mode_variance(model: SurfaceModel, m0: float, m1: float, lam_max: float,
+                             n: int, seed: int, mode: int = 0,
+                             chunk_size: int = 65536,
+                             threads: int | None = None) -> MCEstimate:
+    """Reweighted second moment E[w phi_mode^2]/E[w] vs 1/(m0^2 + m1^2 + lambda)."""
+    return _estimates(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode)[1]
+
+
+def measure_estimates(model: SurfaceModel, m0: float, m1: float, lam_max: float,
+                      n: int, seed: int, mode: int = 0, chunk_size: int = 65536,
+                      threads: int | None = None) -> tuple[MCEstimate, MCEstimate]:
+    """`verify_measure_identity` and `reweighted_mode_variance` from a single
+    pass over the sample stream; each equals its separate call bit for bit."""
+    return _estimates(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode)

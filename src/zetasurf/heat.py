@@ -22,13 +22,53 @@ leave a logarithmically divergent (cutoff-dependent) upper end.  This finite
 part is the constant that enters the determinant mass-shift identity and the
 Laurent expansion of the Dirichlet trace; it is cross-checked against the
 lattice Bessel sum for the torus Green's function in `green`.
+
+Weyl excess.  Every subtraction of the leading terms goes through one helper
+that returns the massless excess
+
+    E(t) = theta_Delta(t) - a_{-1}/t - chi/6
+
+without cancellation: at t = 1e-5 the sphere's theta is ~1e5, a sum over
+~2300 levels, and subtracting R^2/t from it would leave only rounding noise.
+Small t is handled in closed form on both surfaces:
+
+* Sphere, x = t/R^2 < 0.05.  Euler-Maclaurin applied to the midpoint sum
+  theta = e^{x/4} sum_{k>=0} (2k+1) e^{-x (k+1/2)^2} (Mulholland 1928;
+  McKean-Singer 1967) gives
+
+      E = sum_{j>=1} d_j x^j,   d_j = (1/4)^{j+1}/(j+1)!
+                                      + sum_{i<=j} (1/4)^i/i! c_{j-i},
+      c_j = -B_{2j+2}(1/2) (-1)^j/(j+1)!,
+
+  so theta = R^2/t + 1/3 + t/(15 R^2) + 4 t^2/(315 R^4) + t^3/(315 R^6)
+  + 4 t^4/(3465 R^8) + ...  The series is asymptotic; 14 terms are kept.  The
+  Euler-Maclaurin remainder after B_30 is at most
+  2 zeta(31)/(2 pi)^31 int_0^inf |f^(31)| with f(u) = 2u e^{-x u^2}, and
+  int_0^inf |f^(31)| <= sqrt(pi 2^30 32!) x^{14.5} by Cauchy-Schwarz on the
+  Hermite function H_32 e^{-v^2}; with the truncated tail of the e^{x/4}
+  product the total is below 1.5e-21 at the switch x = 0.05 (the first
+  omitted term is 2.6e-23 there).  Above the switch the direct sum needs at
+  most 33 levels, and E is an O(1) difference.
+* Torus, t < 0.1 min(L1, L2)^2.  Poisson resummation gives
+  theta = (A/4 pi t) sigma_1 sigma_2 with sigma_i = 1 + s_i,
+  s_i = 2 sum_{a>=1} e^{-a^2 L_i^2/4t}, so E = (A/4 pi t)(s_1 + s_2 + s_1 s_2).
+
+With y = m^2 t the massive remainder follows exactly,
+
+    theta_E - a_{-1}/t - a_0 = (e^{-y} - 1 + y) a_{-1}/t + (e^{-y} - 1) chi/6
+                               + e^{-y} E,
+
+with e^{-y} - 1 taken from expm1.  It is the integrand of the Mellin F
+integral in `zeta`, and e^{-y} (chi/6 + E) is the `heat_integral` integrand.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
+from scipy.special import zeta as _zeta
 
 from .sumtools import log_quadrature
 from .surfaces import SurfaceModel, eigen_arrays, first_positive_eigenvalue
@@ -81,31 +121,116 @@ def _theta_torus_direct(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _theta_torus_poisson(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
-    # theta(t) = (A / 4 pi t) * sigma(L1, t) * sigma(L2, t), where
-    # sigma(L, t) = sum_a exp(-a^2 L^2 / 4t); rectangular lattice factorizes.
-    tmax = float(np.max(t))
+def _image_sum(length: float, t: np.ndarray) -> np.ndarray:
+    """s(L, t) = 2 sum_{a>=1} exp(-a^2 L^2 / 4t), the Poisson image terms."""
+    amax = int(math.sqrt(4.0 * _EXP_CUT * float(t.max())) / length) + 1
+    a = np.arange(1, amax + 1, dtype=float)
+    return 2.0 * np.exp(-np.outer(1.0 / (4.0 * t), (a * length) ** 2)).sum(axis=1)
 
-    def sigma(length: float) -> np.ndarray:
-        amax = int(math.sqrt(4.0 * _EXP_CUT * tmax) / length) + 1
-        a = np.arange(1, amax + 1, dtype=float)
-        return 1.0 + 2.0 * np.exp(-np.outer(1.0 / (4.0 * t), (a * length) ** 2)).sum(axis=1)
 
-    return model.area / (_FOUR_PI * t) * sigma(model.l1) * sigma(model.l2)
+def _sphere_series(n_terms: int, x_switch: float) -> tuple[np.ndarray, float]:
+    """d_1..d_n of the sphere's E = sum d_j x^j, and a bound on the
+    truncation error that holds for x <= x_switch (module docstring)."""
+    bern = [Fraction(1)]
+    for m in range(1, 2 * n_terms + 3):
+        bern.append(-sum(math.comb(m + 1, k) * bern[k] for k in range(m)) / (m + 1))
+    # c_j = -B_{2j+2}(1/2) (-1)^j / (j+1)!, with B_n(1/2) = -(1 - 2^{1-n}) B_n
+    c = [(1 - Fraction(1, 2 ** (2 * j + 1))) * bern[2 * j + 2] * (-1) ** j
+         / math.factorial(j + 1) for j in range(n_terms + 1)]
+    q = [Fraction(1, 4 ** i * math.factorial(i)) for i in range(n_terms + 2)]
+    d = [q[j + 1] + sum(q[i] * c[j - i] for i in range(j + 1))
+         for j in range(1, n_terms + 1)]
+    # Euler-Maclaurin remainder with N = 2M + 1 (B_N(1/2) = 0), M = n_terms + 1
+    # c's kept, plus the x^{j >= M} tail of e^{x/4} times the kept terms.
+    x, big_m = x_switch, n_terms + 1
+    n_em = 2 * big_m + 1
+    em = (2.0 * float(_zeta(n_em)) / (2.0 * math.pi) ** n_em
+          * math.sqrt(math.pi * 2.0 ** (n_em - 1) * math.factorial(n_em + 1))
+          * x ** (0.5 * n_em - 1.0))
+    tail = (x / 4.0) ** (big_m + 1) / (math.factorial(big_m + 1) * x) + sum(
+        abs(float(c[m])) * x ** m * (x / 4.0) ** (big_m - m) / math.factorial(big_m - m)
+        for m in range(big_m))
+    return np.array([float(v) for v in d]), math.exp(x / 4.0) * (em + tail)
+
+
+# Below x = t/R^2 = 0.05 the 14-term series is exact to _SERIES_REM ~ 1.5e-21;
+# above it the direct sum needs at most 33 levels.
+_SERIES_X = 0.05
+_SERIES_TERMS = 14
+_SERIES_COEFFS, _SERIES_REM = _sphere_series(_SERIES_TERMS, _SERIES_X)
+
+
+def _switch(model: SurfaceModel) -> float:
+    """t below which E comes from the series (sphere) or the images (torus)."""
+    if model.kind == "sphere":
+        return _SERIES_X * model.radius * model.radius
+    return 0.1 * min(model.l1, model.l2) ** 2
+
+
+def _small_t_excess(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
+    """E(t) below the switch: the series on the sphere; on the torus the
+    Poisson form theta = (A / 4 pi t)(1 + s(L1, t))(1 + s(L2, t)), since the
+    rectangular lattice factorizes."""
+    if model.kind == "sphere":
+        x = t / (model.radius * model.radius)
+        return x * np.polynomial.polynomial.polyval(x, _SERIES_COEFFS)
+    s1, s2 = _image_sum(model.l1, t), _image_sum(model.l2, t)
+    return model.area / (_FOUR_PI * t) * (s1 + s2 + s1 * s2)
+
+
+def _by_branch(model: SurfaceModel, t: np.ndarray, small, direct) -> np.ndarray:
+    """small(t) below the model's switch point, direct(t) above it."""
+    below = t < _switch(model)
+    n_below = np.count_nonzero(below)
+    if n_below == t.size:
+        return small(t)
+    if n_below == 0:
+        return direct(t)
+    out = np.empty_like(t)
+    out[below] = small(t[below])
+    out[~below] = direct(t[~below])
+    return out
+
+
+def _theta_direct(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
+    if model.kind == "sphere":
+        return _theta_sphere(model, t)
+    return _theta_torus_direct(model, t)
 
 
 def _theta_laplace(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
     """Massless heat trace, vectorized over t."""
-    if model.kind == "sphere":
-        return _theta_sphere(model, t)
-    t_switch = 0.1 * min(model.l1, model.l2) ** 2
-    out = np.empty_like(t)
-    small = t < t_switch
-    if np.any(small):
-        out[small] = _theta_torus_poisson(model, t[small])
-    if np.any(~small):
-        out[~small] = _theta_torus_direct(model, t[~small])
-    return out
+    a_m1, a_0 = model.area / _FOUR_PI, model.euler_char / 6.0
+    return _by_branch(model, t, lambda ts: a_m1 / ts + a_0 + _small_t_excess(model, ts),
+                      lambda ts: _theta_direct(model, ts))
+
+
+def _weyl_excess(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
+    """E(t) = theta_Delta(t) - a_{-1}/t - chi/6, without cancellation."""
+    a_m1, a_0 = model.area / _FOUR_PI, model.euler_char / 6.0
+    return _by_branch(model, t, lambda ts: _small_t_excess(model, ts),
+                      lambda ts: _theta_direct(model, ts) - a_m1 / ts - a_0)
+
+
+def _series_bound(model: SurfaceModel, t_hi: float) -> float:
+    """Bound on int_0^t_hi |E - computed E| dt/t from the truncated series.
+
+    The remainder grows at least like x^{M - 1/2} (M = 15) up to the switch,
+    where it is at most _SERIES_REM, and the integral follows in closed form.
+    """
+    if model.kind != "sphere":
+        return 0.0
+    power = _SERIES_TERMS + 0.5
+    x_hi = min(1.0, t_hi / _switch(model))
+    return _SERIES_REM * x_hi ** power / power
+
+
+def _remainder(model: SurfaceModel, msq: float, t: np.ndarray) -> np.ndarray:
+    """theta_E(t) - a_{-1}/t - a_0, without cancellation (module docstring)."""
+    y = msq * t
+    em1 = np.expm1(-y)
+    return ((em1 + y) * (model.area / (_FOUR_PI * t)) + em1 * (model.euler_char / 6.0)
+            + np.exp(-y) * _weyl_excess(model, t))
 
 
 def _theta(model: SurfaceModel, msq: float, t: np.ndarray) -> np.ndarray:
@@ -155,7 +280,7 @@ def heat_integral(model: SurfaceModel, msq: float, abs_tol: float = 1e-8,
     a_m1 = model.area / _FOUR_PI
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return _theta(model, msq, t) - (a_m1 / t) * np.exp(-msq * t)
+        return np.exp(-msq * t) * (model.euler_char / 6.0 + _weyl_excess(model, t))
 
     if t_lo is None:
         t_lo = 1e-5
@@ -178,11 +303,16 @@ def heat_integral(model: SurfaceModel, msq: float, abs_tol: float = 1e-8,
     ref_hi = (a_m1 / t_hi) * math.exp(-msq * t_hi)
     tail_bound = (theta_hi + ref_hi) / msq
 
+    # truncated sphere series, used only below the switch point t_s:
+    # int |dE| dt <= t_s int |dE| dt/t
+    series_bound = min(t_hi, _switch(model)) * _series_bound(model, t_hi)
+
     value = quad.value + small_corr - a_m1 * math.log(msq)
-    bound = quad.err_bound + small_bound + tail_bound
+    bound = quad.err_bound + small_bound + tail_bound + series_bound
     profile = quad.profile()
     profile.update({"t_lo": t_lo, "t_hi": t_hi, "small_t_correction": small_corr,
-                    "small_t_bound": small_bound, "tail_bound": tail_bound})
-    if bound > abs_tol:
+                    "small_t_bound": small_bound, "tail_bound": tail_bound,
+                    "series_bound": series_bound})
+    if not (bound <= abs_tol):
         raise ValueError(f"heat_integral bound {bound:.3e} exceeds abs_tol {abs_tol:.3e}")
     return HeatIntegral(value=value, abs_error_bound=bound, quadrature_profile=profile)

@@ -43,10 +43,14 @@ class QuadratureResult:
     value: float
     err_bound: float
     panels: list = field(default_factory=list)  # (u_lo, u_hi, panel_err)
+    splits: int = 0                              # bisections made
+    max_splits: int = 0                          # the split budget
 
     def profile(self) -> dict:
         return {
             "n_panels": len(self.panels),
+            "splits": self.splits,
+            "max_splits": self.max_splits,
             "panel_edges": [p[0] for p in self.panels] + [self.panels[-1][1]] if self.panels else [],
             "panel_errors": [p[2] for p in self.panels],
             "err_bound": self.err_bound,
@@ -98,7 +102,8 @@ def log_quadrature(fn, t_lo: float, t_hi: float, abs_tol: float = 1e-12,
 
     value = math.fsum(p[3] for p in panels)
     bound = math.fsum(p[2] for p in panels)
-    return QuadratureResult(value, bound, [(p[0], p[1], p[2]) for p in panels])
+    return QuadratureResult(value, bound, [(p[0], p[1], p[2]) for p in panels],
+                            splits, max_splits)
 
 
 def neville_zero(hs, vals) -> tuple[float, float]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import beta as _beta_fn, betainc as _betainc, gammaln as _gammaln
 
-from .heat import _theta, heat_coeffs
+from .heat import _remainder, _series_bound, _theta, heat_coeffs
 from .sumtools import log_quadrature, stable_sum
 from .surfaces import SurfaceModel, first_positive_eigenvalue
 
@@ -85,17 +85,16 @@ def _mellin_pieces(model: SurfaceModel, msq: float, n0: int, t_star: float):
 
     def rho(t: np.ndarray) -> np.ndarray:
         # (theta~ - a_{-1}/t - a0~)/t; the zero-mode shift cancels in a0~.
-        return (_theta(model, msq, t) - a_m1 / t - a_0) / t
+        return _remainder(model, msq, t) / t
 
     quad_f = log_quadrature(rho, _T_LO, t_star, abs_tol=1e-12)
-    rho_lo = float(rho(np.array([_T_LO]))[0])
-    rho_half = float(rho(np.array([0.5 * _T_LO]))[0])
+    rho_lo, rho_half = rho(np.array([_T_LO, 0.5 * _T_LO])).tolist()
     f0 = quad_f.value + rho_lo * _T_LO
     # [0, t_lo] remainder: rho is a1 + O(t); slope measured, then doubled
     f_small_bound = 4.0 * abs(rho_lo - rho_half) * _T_LO
     # rounding floor of the subtracted trace values on the log grid
     f_round = 4e-16 * a_m1 / _T_LO
-    f_bound = quad_f.err_bound + f_small_bound + f_round
+    f_bound = quad_f.err_bound + f_small_bound + f_round + _series_bound(model, t_star)
 
     mu = msq + (first_positive_eigenvalue(model) if n0 else 0.0)
     t_hi = max(_EXP_CUT / mu, 2.0 * t_star)
@@ -126,7 +125,7 @@ def zeta_det(model: SurfaceModel, msq: float, exclude_zero_mode: bool = False,
     a0t = a_0 - n0
     zeta_prime0 = f0 + g0 - a_m1 / t_star + a0t * math.log(t_star) + _EULER * a0t
     bound = f_bound + g_bound
-    if bound > tol:
+    if not (bound <= tol):
         raise ValueError(f"zeta_det bound {bound:.3e} exceeds tol {tol:.3e}")
     return ZetaResult(zeta0=a0t, zeta_prime0=zeta_prime0,
                       det_zeta=math.exp(-zeta_prime0), err_bound=bound,
@@ -152,10 +151,10 @@ def zeta_value(model: SurfaceModel, msq: float, s: float,
     a0t = a_0 - n0
 
     def f_int(t: np.ndarray) -> np.ndarray:
-        return t ** (s - 1.0) * (_theta(model, msq, t) - a_m1 / t - a_0)
+        return t ** (s - 1.0) * _remainder(model, msq, t)
 
     quad_f = log_quadrature(f_int, _T_LO, t_star, abs_tol=1e-13)
-    rho_lo = float((_theta(model, msq, np.array([_T_LO]))[0] - a_m1 / _T_LO - a_0) / _T_LO)
+    rho_lo = float(_remainder(model, msq, np.array([_T_LO]))[0]) / _T_LO
     f_small = rho_lo * _T_LO ** (s + 1.0) / (s + 1.0)
 
     mu = msq + (first_positive_eigenvalue(model) if n0 else 0.0)

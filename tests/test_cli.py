@@ -111,3 +111,11 @@ def test_massless_command(capsys):
     rec = json.loads(out)["results"][0]
     assert rec["pass"] is True
     assert "note" in rec
+
+
+@pytest.mark.parametrize("argv", [("det-zeta", "--m0", "inf"),
+                                  ("verify-anomaly", "--m0", "nan")])
+def test_non_finite_flag_rejected(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and not out
+    assert "--m0" in err and "finite" in err

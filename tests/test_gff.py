@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zetasurf import (FieldSample, cf_mean, det2, make_surface,
+from zetasurf import (FieldSample, cf_mean, det2, make_surface, measure_estimates,
                       reweighted_mode_variance, sample_fields, smoothed_wick,
                       verify_measure_identity, wick_mass_term)
 
@@ -122,3 +122,9 @@ def test_reweighted_mode_variance():
     est = reweighted_mode_variance(SPHERE, 1.0, 1.0, 42.0, n=200000, seed=1, mode=0)
     assert est.target == pytest.approx(0.5, rel=1e-15)
     assert abs(est.z_score) < 4.0
+
+
+def test_measure_estimates_match_separate_calls():
+    est, rw = measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=30000, seed=4, mode=2, threads=2)
+    assert est == verify_measure_identity(SPHERE, 1.0, 1.0, 42.0, n=30000, seed=4)
+    assert rw == reweighted_mode_variance(SPHERE, 1.0, 1.0, 42.0, n=30000, seed=4, mode=2)

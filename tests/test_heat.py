@@ -5,8 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 from zetasurf import heat_coeffs, heat_integral, heat_trace, make_surface, torus_cf_image_sum
-from zetasurf.heat import _theta_torus_direct, _theta_torus_poisson
-from zetasurf.sumtools import neville_zero
+from zetasurf.heat import (_SERIES_COEFFS, _SERIES_REM, _remainder, _small_t_excess,
+                           _theta_laplace, _theta_sphere, _theta_torus_direct)
+from zetasurf.sumtools import log_quadrature, neville_zero
 
 PI = math.pi
 SPHERE = make_surface("sphere", R=1)
@@ -32,7 +33,7 @@ def test_torus_poisson_form_small_t():
 def test_torus_direct_vs_poisson_at_crossover():
     t = np.array([0.05])
     d = float(_theta_torus_direct(TORUS, t)[0])
-    p = float(_theta_torus_poisson(TORUS, t)[0])
+    p = float(_theta_laplace(TORUS, t)[0])  # Poisson form below t = 0.1
     assert abs(d - p) < 1e-10
 
 
@@ -119,3 +120,51 @@ def test_heat_trace_validation():
         heat_trace(SPHERE, -1.0, 1.0)
     with pytest.raises(ValueError):
         heat_trace(SPHERE, 1.0, 1.0, rel_tol=0.5)
+
+
+def test_sphere_series_coefficients():
+    # theta = R^2/t + 1/3 + x/15 + 4x^2/315 + x^3/315 + 4x^4/3465 + ..., x = t/R^2
+    assert _SERIES_COEFFS[:4].tolist() == [1 / 15, 4 / 315, 1 / 315, 4 / 3465]
+    assert _SERIES_REM < 1e-20
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 3.0])
+def test_sphere_series_matches_level_sum(radius):
+    # the direct sum is accurate to rounding in theta here; past the switch
+    # x = 0.05 the 14-term series still holds to ~1e-14 of theta up to x = 0.2
+    model = make_surface("sphere", R=radius)
+    x = np.linspace(0.01, 0.2, 96)
+    t = x * radius * radius
+    series = radius * radius / t + 1.0 / 3.0 + _small_t_excess(model, t)
+    rel = np.abs(series / _theta_sphere(model, t) - 1.0)
+    assert np.max(rel) < 1e-14
+    assert np.max(rel[x <= 0.05]) < 2e-15
+
+
+@pytest.mark.parametrize("radius", [0.5, 0.78, 1.0, 2.0])
+@pytest.mark.parametrize("msq", [0.0, 0.5, 1.0, 4.0])
+def test_sphere_f_integrand_converges_within_split_budget(radius, msq):
+    # the Mellin F integrand of zeta_det: without the cancellation-free
+    # remainder its rounding floor sat above the 1e-12 target
+    model = make_surface("sphere", R=radius)
+    quad = log_quadrature(lambda t: _remainder(model, msq, t) / t, 1e-5, 1.0,
+                          abs_tol=1e-12)
+    assert quad.err_bound <= 1e-12
+    assert quad.splits < quad.max_splits
+
+
+def test_remainder_matches_direct_subtraction_at_moderate_t():
+    ts = np.array([0.1, 0.5, 2.0])
+    for model in (SPHERE, TORUS):
+        c = heat_coeffs(model, 1.5)
+        direct = heat_trace(model, 1.5, ts) - c.a_minus1 / ts - c.a_0
+        assert np.allclose(_remainder(model, 1.5, ts), direct, rtol=0, atol=1e-13)
+
+
+def test_quadrature_profile_reports_split_budget():
+    # an unreachable target spends the whole budget, and the profile says so
+    quad = log_quadrature(lambda t: np.sqrt(t), 1e-3, 1.0, abs_tol=1e-300, max_splits=3)
+    assert quad.splits == quad.max_splits == 3
+    assert quad.profile()["splits"] == 3 and len(quad.panels) == 7 + 3
+    profile = heat_integral(SPHERE, 1.0).quadrature_profile
+    assert profile["splits"] < profile["max_splits"] == 60

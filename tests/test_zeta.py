@@ -145,3 +145,15 @@ def test_laurent_fit_grid_validation():
 def test_zeta_tolerance_contract():
     with pytest.raises(ValueError):
         zeta_det(SPHERE, 1.0, tol=1e-3)  # tol must be <= 1e-4
+
+
+@pytest.mark.parametrize("radius", [0.78, 2.0, 10.0])
+def test_det_zeta_prime_sphere_scale_law(radius):
+    # det'_zeta on the sphere of radius R is R^{4/3} times the unit value
+    res = zeta_det(make_surface("sphere", R=radius), 0.0, exclude_zero_mode=True)
+    assert res.det_zeta == pytest.approx(DETP_SPHERE * radius ** (4.0 / 3.0), rel=1e-8)
+
+
+def test_zeta_det_nan_bound_raises():
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="bound nan"):
+        zeta_det(SPHERE, math.inf)
