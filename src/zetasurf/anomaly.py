@@ -67,6 +67,14 @@ class AnomalyReport:
         }
 
 
+def _exp(x: float, fn=math.exp) -> float:
+    """fn(x) for an exponential fn, with inf where the result overflows."""
+    try:
+        return fn(x)
+    except OverflowError:
+        return math.inf
+
+
 def verify_anomaly(model: SurfaceModel, m0sq: float, m1sq: float,
                    tol: float = 1e-6) -> AnomalyReport:
     """Check the determinant mass-shift identity at (m0^2, m1^2)."""
@@ -78,14 +86,19 @@ def verify_anomaly(model: SurfaceModel, m0sq: float, m1sq: float,
     z_base = zeta_det(model, m0sq)
     d2 = det2(model, m0sq, m1sq)
     integral = heat_integral(model, m0sq)
+    cf_log = m1sq * integral.value
+    log_rhs = -z_base.zeta_prime0 + d2.log_value + cf_log
     factors = {
         "det_zeta_m0": z_base.det_zeta,
         "det2": d2.value,
-        "exp_cf_term": math.exp(m1sq * integral.value),
+        "exp_cf_term": _exp(cf_log),
     }
     rhs = factors["det_zeta_m0"] * factors["det2"] * factors["exp_cf_term"]
+    if not math.isfinite(rhs):   # inf * 0: the factors overflow, not their product
+        rhs = _exp(log_rhs)
     lhs = z_shift.det_zeta
-    rel_residual = abs(lhs / rhs - 1.0)
+    # compared in log space: at small m0 the exp(m1^2 I) factor alone overflows
+    rel_residual = abs(_exp(-z_shift.zeta_prime0 - log_rhs, math.expm1))
     budget = (z_shift.err_bound + z_base.err_bound + d2.tail_bound
               + m1sq * integral.abs_error_bound)
     return AnomalyReport(

@@ -12,10 +12,23 @@ with W_C = sum_k (phi_k^2 - 1/(m0^2 + lambda_k)) is an exact
 finite-dimensional Gaussian integral, so the Monte Carlo estimate must agree
 with the closed-form product within statistical error.
 
+The Monte Carlo estimates see a sample only through W_C and one mode's
+phi^2, so they draw sufficient statistics instead of fields.  The modes of a
+spectral line l share the variance var_l = 1/(m0^2 + lambda_l), so
+sum_{k in l} phi_k^2 = var_l G_l with G_l ~ chi^2_{mult_l}, independent
+across lines, and W_C = sum_l var_l (G_l - mult_l): one chi^2 draw per line
+instead of one normal per mode.  The measured mode's phi^2 is var_l G_l B
+with B ~ Beta(1/2, (mult_l - 1)/2) independent of G_l (B = 1 on a line of
+multiplicity 1).  `sample_fields` still draws one normal per mode, since the
+Wick functionals need whole fields.
+
 Reproducibility contract: every chunk of samples draws from a counter-based
 Philox stream keyed by (seed, chunk index), and chunk statistics are reduced
 in chunk order, so results are bit-identical for a fixed (seed, chunk size)
-regardless of how many workers evaluate the chunks.
+regardless of how many workers evaluate the chunks.  Within a chunk the
+Monte Carlo stream holds the chunk's chi^2 line draws first and then the
+Beta shares, so the identity estimate does not depend on the measured mode
+and `measure_estimates` equals its two separate calls bit for bit.
 """
 from __future__ import annotations
 
@@ -129,15 +142,19 @@ def _chunk_plan(n: int, chunk_size: int):
     return list(enumerate(sizes))
 
 
-def _measure_chunk_stats(model, m0sq, m1sq, lambdas, seed, idx, size, mode):
+def _measure_chunk_stats(m0sq, m1sq, lams, mults, seed, idx, size, line):
     rng = _chunk_rng(seed, idx)
-    std = 1.0 / np.sqrt(m0sq + lambdas)
-    block = rng.standard_normal((size, lambdas.size)) * std
-    counter = 1.0 / (m0sq + lambdas)
-    logw = -0.5 * m1sq * ((block ** 2).sum(axis=1) - counter.sum())
+    var = 1.0 / (m0sq + lams)
+    # G_l = sum of the line's phi^2/var: one chi^2_mult draw per spectral line
+    g = 2.0 * rng.standard_gamma(0.5 * mults, size=(size, lams.size))
+    logw = -0.5 * m1sq * ((g * var).sum(axis=1) - (mults * var).sum())
     shift = float(np.max(logw))
     e = np.exp(logw - shift)
-    phi2 = block[:, mode] ** 2
+    phi2 = var[line] * g[:, line]
+    if mults[line] > 1:
+        # the measured mode's share of its line, Beta(1/2, (mult-1)/2), drawn
+        # after g so that the identity estimate does not depend on the mode
+        phi2 = phi2 * rng.beta(0.5, 0.5 * (mults[line] - 1.0), size=size)
     return {
         "shift": shift,
         "s_w": float(np.sum(e)),
@@ -150,10 +167,14 @@ def _measure_chunk_stats(model, m0sq, m1sq, lambdas, seed, idx, size, mode):
 
 def _collect_stats(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode):
     m0sq, m1sq = m0 * m0, m1 * m1
+    lams, mults = eigen_arrays(model, lam_max)
     lambdas = _mode_lambdas(model, lam_max)
+    if not 0 <= mode < lambdas.size:
+        raise ValueError(f"mode must be in [0, {lambdas.size})")
+    line = int(np.searchsorted(np.cumsum(mults), mode, side="right"))
     plan = _chunk_plan(n, chunk_size)
     worker = lambda item: _measure_chunk_stats(
-        model, m0sq, m1sq, lambdas, seed, item[0], item[1], mode)
+        m0sq, m1sq, lams, mults, seed, item[0], item[1], line)
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             stats = list(pool.map(worker, plan))

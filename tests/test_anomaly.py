@@ -36,6 +36,16 @@ def test_anomaly_torus_instance():
     assert rep.passed and rep.rel_residual < 1e-6
 
 
+def test_anomaly_small_mass_overflowing_factor():
+    # I is about 1001 at m0 = 0.0316 on the unit torus, so exp(m1^2 I)
+    # overflows (and det2 underflows); the identity holds in log space
+    rep = verify_anomaly(TORUS, 0.0316 ** 2, 1.0)
+    assert rep.rhs_factors["exp_cf_term"] == math.inf
+    assert math.isfinite(rep.rhs) and rep.rhs == pytest.approx(rep.lhs, rel=1e-8)
+    assert rep.passed and rep.rel_residual <= rep.error_budget
+    assert math.isfinite(rep.rel_residual)
+
+
 @pytest.mark.parametrize("model", [SPHERE, TORUS, TORUS12])
 @pytest.mark.parametrize("m0sq", [0.5, 4.0])
 def test_anomaly_grid_corners(model, m0sq):

@@ -24,6 +24,18 @@ def test_verify_anomaly_command(capsys):
     assert set(rec["rhs_factors"]) == {"det_zeta_m0", "det2", "exp_cf_term"}
 
 
+def test_verify_anomaly_overflowing_factor(capsys):
+    code, out, err = _run(capsys, "verify-anomaly", "--surface", "torus:L1=1,L2=1",
+                          "--m0", "0.0316", "--m1", "1")
+    assert code == 0, err
+    report = json.loads(out)
+    rec = report["results"][0]
+    assert report["pass"] is True and rec["pass"] is True
+    assert rec["rhs_factors"]["exp_cf_term"] == "inf"
+    assert isinstance(rec["rhs"], float)
+    assert rec["rel_residual"] <= rec["error_budget"]
+
+
 def test_det2_trivial_value(capsys):
     code, out, _ = _run(capsys, "det2", "--surface", "torus:L1=1,L2=1",
                         "--m0", "1", "--m1", "0")

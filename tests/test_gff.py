@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from zetasurf import (FieldSample, cf_mean, det2, make_surface, measure_estimates,
-                      reweighted_mode_variance, sample_fields, smoothed_wick,
-                      verify_measure_identity, wick_mass_term)
+from zetasurf import (FieldSample, cf_mean, det2, eigen_arrays, make_surface,
+                      measure_estimates, reweighted_mode_variance, sample_fields,
+                      smoothed_wick, verify_measure_identity, wick_mass_term)
+from zetasurf.gff import _measure_chunk_stats
 
 SPHERE = make_surface("sphere", R=1)
 
@@ -128,3 +129,50 @@ def test_measure_estimates_match_separate_calls():
     est, rw = measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=30000, seed=4, mode=2, threads=2)
     assert est == verify_measure_identity(SPHERE, 1.0, 1.0, 42.0, n=30000, seed=4)
     assert rw == reweighted_mode_variance(SPHERE, 1.0, 1.0, 42.0, n=30000, seed=4, mode=2)
+
+
+TORUS_1X2 = make_surface("torus", L1=1, L2=2)
+
+
+@pytest.mark.parametrize("model,m0,m1,mode", [
+    (SPHERE, 1.0, 1.0, 2),                          # mode in the mult-3 line
+    (SPHERE, 0.5, 2.0, 0),
+    (TORUS_1X2, 1.0, 1.0, 0),
+    (TORUS_1X2, 1.0, 1.0, 3),                       # mode in the mult-4 line
+    (make_surface("sphere", R=0.5), 1.0, 1.0, 5),   # mode in the mult-5 line
+])
+def test_line_level_sampler_statistics(model, m0, m1, mode):
+    est, rw = measure_estimates(model, m0, m1, 42.0, n=200000, seed=1, mode=mode)
+    lams, mults = eigen_arrays(model, 42.0)
+    lambdas = np.repeat(lams, mults.astype(int))
+    assert rw.target == 1.0 / (m0 * m0 + m1 * m1 + lambdas[mode])
+    assert abs(est.z_score) < 3.0
+    assert abs(rw.z_score) < 4.0
+
+
+def test_measured_mode_has_chi2_1_moments_in_degenerate_line():
+    # m1 = 0 makes every weight 1, so s_a and s_a2 sum phi^2 and phi^4 of
+    # mode 9, the first of the mult-7 line: phi^2/var must be chi^2_1, with
+    # mean 1 (variance 2) and E[chi^4] = 3 (variance 105 - 9 = 96)
+    lams, mults = eigen_arrays(SPHERE, 42.0)
+    n, var = 200000, 1.0 / (1.0 + lams[3])
+    st = _measure_chunk_stats(1.0, 0.0, lams, mults, 1, 0, n, 3)
+    assert abs(st["s_a"] / n / var - 1.0) < 4.0 * math.sqrt(2.0 / n)
+    assert abs(st["s_a2"] / n / var ** 2 - 3.0) < 4.0 * math.sqrt(96.0 / n)
+
+
+def test_reweighted_mode_variance_worker_invariance_in_degenerate_line():
+    runs = [measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=50000, seed=9, mode=7,
+                              chunk_size=8192, threads=t) for t in (1, 2, 4)]
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_mode_range_checked_at_both_ends():
+    # lambda <= 42 on the unit sphere holds lines k = 0..6, 49 modes
+    for bad in (-1, 49):
+        with pytest.raises(ValueError, match="mode"):
+            reweighted_mode_variance(SPHERE, 1.0, 1.0, 42.0, n=100, seed=1, mode=bad)
+        with pytest.raises(ValueError, match="mode"):
+            measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=100, seed=1, mode=bad)
+    for ok in (0, 48):
+        assert measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=100, seed=1, mode=ok)[1].stderr > 0
