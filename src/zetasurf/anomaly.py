@@ -91,6 +91,7 @@ def verify_anomaly(model: SurfaceModel, m0sq: float, m1sq: float,
     factors = {
         "det_zeta_m0": z_base.det_zeta,
         "det2": d2.value,
+        "log_det2": d2.log_value,   # det2 underflows to 0 below about -745
         "exp_cf_term": _exp(cf_log),
     }
     rhs = factors["det_zeta_m0"] * factors["det2"] * factors["exp_cf_term"]

@@ -29,7 +29,7 @@ from .gff import measure_estimates
 from .green import cf_mean, det2, gamma0, torus_cf_image_sum
 from .heat import heat_coeffs, heat_integral, heat_trace
 from .sumtools import neville_zero
-from .surfaces import parse_surface
+from .surfaces import eigen_arrays, parse_surface
 from .zeta import laurent_fit, zeta_det
 
 _EULER = float(np.euler_gamma)
@@ -140,8 +140,19 @@ def _cmd_det_zeta(args) -> tuple[list, bool]:
     return [rec], True
 
 
-def _cmd_det2(args) -> tuple[list, bool]:
+def _spectrum_surface(args):
+    """The --surface model, once its spectrum up to --lambda-max is known to
+    fit the size budget (eigen_arrays refuses it before allocating)."""
     model = parse_surface(args.surface)
+    try:
+        eigen_arrays(model, args.lambda_max)
+    except ValueError as exc:
+        raise ValueError(f"--lambda-max is too large: {exc}") from None
+    return model
+
+
+def _cmd_det2(args) -> tuple[list, bool]:
+    model = _spectrum_surface(args)
     res = det2(model, args.m0 * args.m0, args.m1 * args.m1, lam_max=args.lambda_max)
     rec = {"check": "det2", "surface": model.label(),
            "m0sq": args.m0 * args.m0, "m1sq": args.m1 * args.m1,
@@ -233,7 +244,7 @@ def _gff_record(model, m0, m1, lam_max, n, seed, threads) -> dict:
 
 
 def _cmd_gff_verify(args) -> tuple[list, bool]:
-    model = parse_surface(args.surface)
+    model = _spectrum_surface(args)
     rec = _gff_record(model, args.m0, args.m1, args.lambda_max, args.samples,
                       args.seed, args.threads)
     return [rec], rec["pass"]

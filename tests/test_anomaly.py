@@ -25,7 +25,7 @@ def test_anomaly_trivial_shift():
 def test_anomaly_sphere_instance():
     rep = verify_anomaly(SPHERE, 1.0, 1.0, tol=1e-6)
     assert rep.passed and rep.rel_residual < 1e-6
-    assert set(rep.rhs_factors) == {"det_zeta_m0", "det2", "exp_cf_term"}
+    assert set(rep.rhs_factors) == {"det_zeta_m0", "det2", "log_det2", "exp_cf_term"}
     assert rep.rhs == pytest.approx(
         rep.rhs_factors["det_zeta_m0"] * rep.rhs_factors["det2"]
         * rep.rhs_factors["exp_cf_term"], rel=1e-15)
@@ -41,6 +41,8 @@ def test_anomaly_small_mass_overflowing_factor():
     # overflows (and det2 underflows); the identity holds in log space
     rep = verify_anomaly(TORUS, 0.0316 ** 2, 1.0)
     assert rep.rhs_factors["exp_cf_term"] == math.inf
+    assert rep.rhs_factors["det2"] == 0.0
+    assert rep.rhs_factors["log_det2"] == pytest.approx(-995.0, abs=1.0)
     assert math.isfinite(rep.rhs) and rep.rhs == pytest.approx(rep.lhs, rel=1e-8)
     assert rep.passed and rep.rel_residual <= rep.error_budget
     assert math.isfinite(rep.rel_residual)

@@ -32,12 +32,6 @@ def test_k0_vectorized_matches_scalar():
         assert v == k0(float(z))
 
 
-def test_k0_branches_agree_at_split():
-    from zetasurf.bessel import _k0_integral, _k0_series
-    z = np.array([2.0])
-    assert abs(float(_k0_series(z)[0]) - float(_k0_integral(z)[0])) < 1e-14
-
-
 def test_k0_monotone_decreasing():
     zs = np.linspace(0.05, 30.0, 400)
     vals = k0(zs)
@@ -56,3 +50,11 @@ def test_k0_rejects_nonpositive():
         k0(0.0)
     with pytest.raises(ValueError):
         k0(-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_k0_rejects_nonfinite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        k0(bad)
+    with pytest.raises(ValueError, match="finite"):
+        k0(np.array([1.0, bad]))

@@ -21,7 +21,7 @@ def test_verify_anomaly_command(capsys):
     assert report["pass"] is True
     rec = report["results"][0]
     assert rec["rel_residual"] < 1e-6
-    assert set(rec["rhs_factors"]) == {"det_zeta_m0", "det2", "exp_cf_term"}
+    assert set(rec["rhs_factors"]) == {"det_zeta_m0", "det2", "log_det2", "exp_cf_term"}
 
 
 def test_verify_anomaly_overflowing_factor(capsys):
@@ -131,3 +131,12 @@ def test_non_finite_flag_rejected(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and not out
     assert "--m0" in err and "finite" in err
+
+
+@pytest.mark.parametrize("argv", [("det2", "--surface", "sphere:R=1"),
+                                  ("det2", "--surface", "torus:L1=1,L2=1"),
+                                  ("gff-verify", "--surface", "torus:L1=1,L2=1")])
+def test_oversized_lambda_max_refused(capsys, argv):
+    code, out, err = _run(capsys, *argv, "--lambda-max", "1e30")
+    assert code == 1 and not out
+    assert "--lambda-max" in err

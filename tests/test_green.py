@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zetasurf import (cf_mean, det2, gamma0, green_pointwise, heat_integral,
+from zetasurf import (cf_mean, det2, gamma0, green_pointwise, heat_integral, k0,
                       make_surface, torus_cf_image_sum)
+from zetasurf import green
 from zetasurf.sumtools import neville_zero
 
 PI = math.pi
@@ -77,6 +78,26 @@ def test_two_oracle_cf_agreement():
     assert heat_route.source == "heat_integral"
     assert image_route.source == "image_sum"
     assert heat_route.cf_mean == pytest.approx(image_route.cf_mean, abs=1e-6)
+
+
+def _unfolded_image_sum(l1, l2, m0):
+    # every lattice vector, sorted, one exactly rounded sum
+    na, nb = int(44.0 / (m0 * l1)) + 1, int(44.0 / (m0 * l2)) + 1
+    ra, rb = np.meshgrid(np.arange(-na, na + 1, dtype=float) * l1,
+                         np.arange(-nb, nb + 1, dtype=float) * l2, indexing="ij")
+    r = np.hypot(ra, rb).ravel()
+    r = r[(r > 0.0) & (m0 * r < 44.0)]
+    return FREE_SPACE_CF + math.fsum(k0(m0 * np.sort(r)).tolist()) / (2 * PI)
+
+
+@pytest.mark.parametrize("block", [1 << 20, 1000])
+@pytest.mark.parametrize("l1,l2,m0", [(1.0, 1.0, 1.0), (0.5, 0.5, 0.5),
+                                      (3.0, 0.5, 1.0), (1.3, 0.77, 0.7)])
+def test_image_sum_quadrant_equals_unfolded_sum(monkeypatch, block, l1, l2, m0):
+    # the folded, streamed sum is the same exactly rounded number, whatever
+    # the block size
+    monkeypatch.setattr(green, "_IMAGE_BLOCK", block)
+    assert torus_cf_image_sum(l1, l2, m0).cf_mean == _unfolded_image_sum(l1, l2, m0)
 
 
 def test_cf_free_space_limit_large_torus():

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zetasurf import (geodesic_distance, make_surface, parse_surface, spectrum)
+from zetasurf import (eigen_arrays, geodesic_distance, make_surface, parse_surface,
+                      spectrum)
+from zetasurf.surfaces import _torus_lines
 
 PI = math.pi
 
@@ -95,6 +99,63 @@ def test_scaling_covariance_exact():
     for lb, ls in zip(base[:50], scaled[:50]):
         assert ls.eigenvalue == lb.eigenvalue / 4  # exact in floats
         assert ls.multiplicity == lb.multiplicity
+
+
+def _torus_lines_reference(l1, l2, lam_max):
+    # lattice points grouped by exact rationals in a dict: lambda(p, q) =
+    # 4 pi^2 (p^2 L2^2 + q^2 L1^2) / (L1 L2)^2 with L1^2, L2^2 the exact
+    # rationals of the stored floats
+    n1, d1 = Fraction(l1 * l1).as_integer_ratio()
+    n2, d2 = Fraction(l2 * l2).as_integer_ratio()
+    w1, w2, nn = n2 * d1, n1 * d2, n1 * n2
+    pmax = int(math.floor(math.sqrt(lam_max) * l1 / (2 * PI))) + 1
+    al, be = 4 * PI**2 / (l1 * l1), 4 * PI**2 / (l2 * l2)
+    counts = {}
+    for p in range(-pmax, pmax + 1):
+        lp = al * p * p
+        if lp > lam_max:
+            continue
+        qlim = int(math.floor(math.sqrt(max(0.0, (lam_max - lp) / be)))) + 1
+        for q in range(-qlim, qlim + 1):
+            if lp + be * q * q > lam_max:
+                continue
+            key = p * p * w1 + q * q * w2
+            counts[key] = counts.get(key, 0) + 1
+    keys = sorted(counts)
+    lams = np.array([4 * PI**2 * (k / nn) for k in keys])
+    return lams, np.array([counts[k] for k in keys], dtype=float)
+
+
+@pytest.mark.parametrize("l1,l2", [
+    (1.0, 1.0), (1.0, 2.0), (0.6, 0.8), (2 ** -0.5, 2 ** 0.5),   # many ties
+    (2.1, 1.37), (3.0, 0.5), (1.7, 0.3),                          # generic
+    (1.5, 0.7),               # distinct lines that round to one float
+])
+def test_torus_lines_match_exact_reference(l1, l2):
+    lam_max = 2.0 ** 17
+    ref_lams, ref_mults = _torus_lines_reference(l1, l2, lam_max)
+    lams, mults = _torus_lines(l1, l2, lam_max)
+    assert np.array_equal(mults, ref_mults)
+    assert np.all(np.abs(lams - ref_lams) <= 4e-16 * ref_lams)
+    assert np.all(np.diff(lams) >= 0.0)
+    # sum of multiplicities = lattice points inside the ellipse
+    p = np.arange(-200, 201)[:, None]
+    q = np.arange(-200, 201)[None, :]
+    inside = (4 * PI**2 / (l1 * l1)) * p * p + (4 * PI**2 / (l2 * l2)) * q * q <= lam_max
+    assert mults.sum() == np.count_nonzero(inside)
+
+
+@pytest.mark.parametrize("model", [make_surface("sphere", R=1),
+                                   make_surface("torus", L1=1, L2=1)])
+def test_oversized_spectrum_refused_before_allocating(model):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="lam_max"):
+            eigen_arrays(model, 1e30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sphere_distances():
