@@ -9,28 +9,24 @@ from .anomaly import (AnomalyReport, MasslessReport, mass_shift_prefactor,
                       residue_phase_space, verify_anomaly, verify_massless)
 from .bessel import k0
 from .gff import (FieldSample, MCEstimate, measure_estimates,
-                  reweighted_mode_variance, sample_fields, smoothed_wick,
+                  reweighted_mode_variance, sample_fields,
                   verify_measure_identity, wick_mass_term)
-from .green import (Det2Result, FinitePart, cf_mean, det2, gamma0,
-                    green_pointwise, torus_cf_image_sum)
+from .green import Det2Result, FinitePart, cf_mean, det2, gamma0, torus_cf_image_sum
 from .heat import HeatCoeffs, HeatIntegral, heat_coeffs, heat_integral, heat_trace
-from .surfaces import (SpectralLine, SurfaceModel, eigen_arrays,
-                       geodesic_distance, make_surface, parse_surface, spectrum)
+from .surfaces import SurfaceModel, eigen_arrays, make_surface, parse_surface
 from .zeta import (LaurentFit, TraceResult, ZetaResult, dirichlet_trace,
-                   laurent_fit, zeta_det, zeta_value)
+                   laurent_fit, zeta_det)
 
 __all__ = [
     "__version__",
-    "SurfaceModel", "SpectralLine", "make_surface", "parse_surface",
-    "spectrum", "eigen_arrays", "geodesic_distance",
+    "SurfaceModel", "make_surface", "parse_surface", "eigen_arrays",
     "HeatCoeffs", "HeatIntegral", "heat_coeffs", "heat_trace", "heat_integral",
     "ZetaResult", "TraceResult", "LaurentFit",
-    "zeta_det", "zeta_value", "dirichlet_trace", "laurent_fit",
+    "zeta_det", "dirichlet_trace", "laurent_fit",
     "Det2Result", "FinitePart", "gamma0", "det2", "cf_mean",
-    "torus_cf_image_sum", "green_pointwise", "k0",
+    "torus_cf_image_sum", "k0",
     "AnomalyReport", "MasslessReport", "verify_anomaly",
     "mass_shift_prefactor", "residue_phase_space", "verify_massless",
     "FieldSample", "MCEstimate", "sample_fields", "wick_mass_term",
-    "smoothed_wick", "verify_measure_identity", "reweighted_mode_variance",
-    "measure_estimates",
+    "verify_measure_identity", "reweighted_mode_variance", "measure_estimates",
 ]

@@ -178,7 +178,7 @@ def verify_massless(model: SurfaceModel, sigma: float,
     expo = sigma * model.area / _FOUR_PI
     worst = 0.0
     for m0 in seq:
-        lhs = (m / m0) ** expo * math.exp(0.5 * sigma * gamma0(m0) * model.area)
+        lhs = (m / m0) ** expo * mass_shift_prefactor(model, m0, sigma)
         rhs = (0.25 * m * math.exp(_EULER)) ** expo
         worst = max(worst, abs(lhs / rhs - 1.0))
     prefactor_check = {"m": m, "max_rel_diff": worst, "pass": bool(worst <= 1e-12)}
@@ -202,7 +202,7 @@ def verify_massless(model: SurfaceModel, sigma: float,
     }
 
     alt = math.exp(sigma * gamma0(seq[0]) * model.area)
-    used = math.exp(0.5 * sigma * gamma0(seq[0]) * model.area)
+    used = mass_shift_prefactor(model, seq[0], sigma)
     note = (
         "prefactor assembly uses exp(sigma*gamma0*A/2) = {:.17g} at m0 = {:g}; "
         "the exp(sigma*gamma0*A) variant would give {:.17g} (ratio {:.17g}) and is "

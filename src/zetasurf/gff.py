@@ -40,14 +40,13 @@ import numpy as np
 
 from .green import cf_mean
 from .sumtools import stable_sum
-from .surfaces import SurfaceModel, eigen_arrays
+from .surfaces import _MAX_SPECTRUM_POINTS, SurfaceModel, _spectrum_size, eigen_arrays
 
 __all__ = [
     "FieldSample",
     "MCEstimate",
     "sample_fields",
     "wick_mass_term",
-    "smoothed_wick",
     "verify_measure_identity",
     "reweighted_mode_variance",
     "measure_estimates",
@@ -73,7 +72,16 @@ class MCEstimate:
     z_score: float
 
 
-def _mode_lambdas(model: SurfaceModel, lam_max: float) -> np.ndarray:
+def _mode_lambdas(model: SurfaceModel, lam_max: float, rows: int,
+                  per_line: bool) -> np.ndarray:
+    """Each mode's eigenvalue, refused before anything is built unless the modes
+    and one chunk's draw (`rows` x lines if per_line, else x modes) fit the budget."""
+    lines, modes = _spectrum_size(model, max(lam_max, 0.0))  # eigen_arrays rejects lam_max < 0
+    draw = rows * (lines if per_line else modes)
+    if max(modes, draw) > _MAX_SPECTRUM_POINTS:
+        raise ValueError(
+            f"lam_max={lam_max:g} needs up to {modes:.2g} modes and {draw:.2g} draws "
+            f"per chunk on {model.label()}, over the budget of {_MAX_SPECTRUM_POINTS:.0e}")
     lams, mults = eigen_arrays(model, lam_max)
     if lams.size < 2:
         raise ValueError("lam_max must cover at least 2 spectral lines")
@@ -92,7 +100,7 @@ def sample_fields(model: SurfaceModel, msq: float, lam_max: float, seed: int, n:
                          "variance in the massless measure)")
     if n < 1:
         raise ValueError("n must be >= 1")
-    lambdas = _mode_lambdas(model, lam_max)
+    lambdas = _mode_lambdas(model, lam_max, min(chunk_size, n), per_line=False)
     std = 1.0 / np.sqrt(msq + lambdas)
     produced = 0
     chunk_index = 0
@@ -122,16 +130,6 @@ def wick_mass_term(sample: FieldSample, m0sq: float, ordering: str = "C") -> flo
     if ordering == "C0":
         w += sample.model.area * cf_mean(sample.model, m0sq).cf_mean
     return w
-
-
-def smoothed_wick(sample: FieldSample, m0sq: float, t: float) -> float:
-    """Heat-smoothed Wick square: sum e^{-2 t lambda} (phi^2 - 1/(m0^2+lambda))."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if m0sq <= 0:
-        raise ValueError("m0sq must be positive")
-    damp = np.exp(-2.0 * t * sample.lambdas)
-    return stable_sum(damp * (sample.coeffs ** 2 - 1.0 / (m0sq + sample.lambdas)))
 
 
 # ----------------------------------------------------------- MC verification
@@ -167,8 +165,8 @@ def _measure_chunk_stats(m0sq, m1sq, lams, mults, seed, idx, size, line):
 
 def _collect_stats(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode):
     m0sq, m1sq = m0 * m0, m1 * m1
+    lambdas = _mode_lambdas(model, lam_max, min(chunk_size, n), per_line=True)
     lams, mults = eigen_arrays(model, lam_max)
-    lambdas = _mode_lambdas(model, lam_max)
     if not 0 <= mode < lambdas.size:
         raise ValueError(f"mode must be in [0, {lambdas.size})")
     line = int(np.searchsorted(np.cumsum(mults), mode, side="right"))

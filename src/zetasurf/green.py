@@ -1,7 +1,6 @@
 """Covariance-side quantities for C = (Laplacian + m0^2)^{-1}: the log-kernel
 ordering constant gamma0, the Hilbert-Schmidt regularized determinant
-det_2(1 + m1^2 C), the diagonal finite part of the Green's function, and
-pointwise Green's-function oracles.
+det_2(1 + m1^2 C), and the diagonal finite part of the Green's function.
 
 The Green's function on a surface splits as
 
@@ -28,7 +27,7 @@ import numpy as np
 from .bessel import k0
 from .heat import heat_integral
 from .sumtools import stable_sum
-from .surfaces import SurfaceModel, eigen_arrays, geodesic_distance, make_surface
+from .surfaces import SurfaceModel, eigen_arrays, make_surface
 
 __all__ = [
     "Det2Result",
@@ -37,7 +36,6 @@ __all__ = [
     "det2",
     "cf_mean",
     "torus_cf_image_sum",
-    "green_pointwise",
 ]
 
 _EULER = float(np.euler_gamma)
@@ -156,56 +154,3 @@ def torus_cf_image_sum(l1: float, l2: float, m0: float) -> FinitePart:
     value = _FREE_SPACE_CF + math.fsum(terms()) / _TWO_PI
     return FinitePart(gamma0=gamma0(m0), cf_mean=value, source="image_sum")
 
-
-# ------------------------------------------------------- pointwise diagnostics
-
-def _legendre_series_green(model: SurfaceModel, m0: float, cos_theta: float) -> float:
-    # sum_k (2k+1) P_k(cos) / (4 pi R^2 (m0^2 + k(k+1)/R^2)), accelerated by
-    # repeated averaging of the oscillating partial sums.
-    rsq = model.radius * model.radius
-    nmax = 20000
-    p_prev, p_curr = 1.0, cos_theta
-    partial = 1.0 / (_FOUR_PI * rsq * m0 * m0)
-    partial += 3.0 * cos_theta / (_FOUR_PI * rsq * (m0 * m0 + 2.0 / rsq))
-    tail_window = []
-    for k in range(2, nmax + 1):
-        p_next = ((2 * k - 1) * cos_theta * p_curr - (k - 1) * p_prev) / k
-        p_prev, p_curr = p_curr, p_next
-        partial += (2 * k + 1) * p_curr / (_FOUR_PI * rsq * (m0 * m0 + k * (k + 1) / rsq))
-        if k > nmax - 64:
-            tail_window.append(partial)
-    # three rounds of pairwise averaging damp the P_k oscillation
-    window = np.asarray(tail_window)
-    for _ in range(3):
-        window = 0.5 * (window[1:] + window[:-1])
-    return float(window[-1])
-
-
-def green_pointwise(model: SurfaceModel, m0: float, x, y) -> float:
-    """Green's function C(x, y) of Laplacian + m0^2; diagnostic accuracy.
-
-    Torus: exact lattice K0 image sum.  Sphere: Legendre mode sum with
-    averaging acceleration (needs d(x,y) away from 0 and from the antipode).
-    """
-    if m0 <= 0:
-        raise ValueError("m0 must be positive")
-    d = geodesic_distance(model, x, y)
-    if model.kind == "torus":
-        scale = min(model.l1, model.l2)
-        if d < 1e-2 * scale:
-            raise ValueError("points too close for the pointwise oracle")
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        nmax_a = int(44.0 / (m0 * model.l1)) + 2
-        nmax_b = int(44.0 / (m0 * model.l2)) + 2
-        a = np.arange(-nmax_a, nmax_a + 1, dtype=float)
-        b = np.arange(-nmax_b, nmax_b + 1, dtype=float)
-        base = np.mod(x - y, [model.l1, model.l2])
-        ra, rb = np.meshgrid(base[0] + a * model.l1, base[1] + b * model.l2, indexing="ij")
-        r = np.hypot(ra, rb).ravel()
-        r = r[m0 * r < 44.0]
-        return stable_sum(k0(m0 * np.sort(r))) / _TWO_PI
-    theta = d / model.radius
-    if d < 1e-2 * model.radius or (math.pi - theta) * model.radius < 1e-2 * model.radius:
-        raise ValueError("points too close to coincidence or the antipodal cut")
-    return _legendre_series_green(model, m0, math.cos(theta))

@@ -53,6 +53,9 @@ Small t is handled in closed form on both surfaces:
   theta = (A/4 pi t) sigma_1 sigma_2 with sigma_i = 1 + s_i,
   s_i = 2 sum_{a>=1} e^{-a^2 L_i^2/4t}, so E = (A/4 pi t)(s_1 + s_2 + s_1 s_2).
 
+Above the switch both surfaces take the same direct level sum over
+`eigen_arrays`, cut where e^{-t lambda} falls below e^-52.
+
 With y = m^2 t the massive remainder follows exactly,
 
     theta_E - a_{-1}/t - a_0 = (e^{-y} - 1 + y) a_{-1}/t + (e^{-y} - 1) chi/6
@@ -60,6 +63,10 @@ With y = m^2 t the massive remainder follows exactly,
 
 with e^{-y} - 1 taken from expm1.  It is the integrand of the Mellin F
 integral in `zeta`, and e^{-y} (chi/6 + E) is the `heat_integral` integrand.
+
+`heat_integral` remembers its results per (model, m^2, abs_tol, t_lo, t_hi),
+as `zeta_det` does per (model, m^2, n0, t_star); both memos are cleared once
+they hold _MEMO_CAP entries.  A remembered result is shared, not copied.
 """
 from __future__ import annotations
 
@@ -71,12 +78,23 @@ import numpy as np
 from scipy.special import zeta as _zeta
 
 from .sumtools import log_quadrature
-from .surfaces import SurfaceModel, eigen_arrays, first_positive_eigenvalue
+from .surfaces import SurfaceModel, eigen_arrays
 
 __all__ = ["HeatCoeffs", "HeatIntegral", "heat_coeffs", "heat_trace", "heat_integral"]
 
 _FOUR_PI = 4.0 * math.pi
 _EXP_CUT = 52.0  # e^-52 ~ 2.6e-23: relative truncation floor for trace sums
+# Entries one result memo may hold before it is cleared; an entry of
+# heat_integral and one of zeta_det together take about 2.2 KB.
+_MEMO_CAP = 4096
+_HEAT_MEMO: dict[tuple, HeatIntegral] = {}
+
+
+def _remember(memo: dict, key: tuple, value) -> None:
+    """memo[key] = value, clearing the memo first once it holds _MEMO_CAP."""
+    if len(memo) >= _MEMO_CAP:
+        memo.clear()
+    memo[key] = value
 
 
 @dataclass(frozen=True)
@@ -94,26 +112,11 @@ def heat_coeffs(model: SurfaceModel, msq: float) -> HeatCoeffs:
 
 # ------------------------------------------------------------- trace engine
 
-def _theta_sphere(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
-    rsq = model.radius * model.radius
-    lam_cut = _EXP_CUT / float(np.min(t))
-    kmax = int(math.sqrt(lam_cut * rsq)) + 1
+def _theta_direct(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
+    """Massless trace as the level sum, cut at the e^-52 relative floor."""
+    lams, mults = eigen_arrays(model, _EXP_CUT / float(np.min(t)))
     out = np.empty_like(t)
-    # chunk over t to keep the (t, k) matrix modest
-    k = np.arange(0, kmax + 1, dtype=float)
-    lam = k * (k + 1.0) / rsq
-    mult = 2.0 * k + 1.0
-    step = max(1, int(4e6 // (kmax + 1)))
-    for i in range(0, t.size, step):
-        ts = t[i:i + step]
-        out[i:i + step] = np.exp(-np.outer(ts, lam)) @ mult
-    return out
-
-
-def _theta_torus_direct(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
-    lam_cut = _EXP_CUT / float(np.min(t))
-    lams, mults = eigen_arrays(model, lam_cut)
-    out = np.empty_like(t)
+    # chunk over t to keep the (t, line) matrix modest
     step = max(1, int(4e6 // max(1, lams.size)))
     for i in range(0, t.size, step):
         ts = t[i:i + step]
@@ -190,12 +193,6 @@ def _by_branch(model: SurfaceModel, t: np.ndarray, small, direct) -> np.ndarray:
     out[below] = small(t[below])
     out[~below] = direct(t[~below])
     return out
-
-
-def _theta_direct(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
-    if model.kind == "sphere":
-        return _theta_sphere(model, t)
-    return _theta_torus_direct(model, t)
 
 
 def _theta_laplace(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
@@ -277,42 +274,48 @@ def heat_integral(model: SurfaceModel, msq: float, abs_tol: float = 1e-8,
             "anomaly.verify_massless (primed determinant with the zero mode removed)")
     if not (0.0 < abs_tol <= 1e-4):
         raise ValueError("abs_tol must lie in (0, 1e-4]")
-    a_m1 = model.area / _FOUR_PI
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return np.exp(-msq * t) * (model.euler_char / 6.0 + _weyl_excess(model, t))
-
     if t_lo is None:
         t_lo = 1e-5
     if t_hi is None:
         t_hi = _EXP_CUT / msq
     if not (0.0 < t_lo < t_hi):
         raise ValueError("need 0 < t_lo < t_hi")
-    quad = log_quadrature(integrand, t_lo, t_hi, abs_tol=min(abs_tol * 1e-2, 1e-11))
+    key = (model, msq, abs_tol, t_lo, t_hi)
+    result = _HEAT_MEMO.get(key)
+    if result is None:
+        a_m1 = model.area / _FOUR_PI
 
-    # [0, t_lo]: integrand -> chi/6 + O(t); trapezoid with measured slope bound
-    w0 = model.euler_char / 6.0
-    w_lo = float(integrand(np.array([t_lo]))[0])
-    w_half = float(integrand(np.array([0.5 * t_lo]))[0])
-    small_corr = 0.5 * t_lo * (w0 + w_lo)
-    slope = abs(w_lo - w_half) / (0.5 * t_lo)
-    small_bound = (abs(w_half - 0.5 * (w0 + w_lo)) + slope * t_lo) * t_lo
+        def integrand(t: np.ndarray) -> np.ndarray:
+            return np.exp(-msq * t) * (model.euler_char / 6.0 + _weyl_excess(model, t))
 
-    # [t_hi, inf): both terms decay at least like e^{-msq t}
-    theta_hi = float(_theta(model, msq, np.array([t_hi]))[0])
-    ref_hi = (a_m1 / t_hi) * math.exp(-msq * t_hi)
-    tail_bound = (theta_hi + ref_hi) / msq
+        quad = log_quadrature(integrand, t_lo, t_hi, abs_tol=min(abs_tol * 1e-2, 1e-11))
 
-    # truncated sphere series, used only below the switch point t_s:
-    # int |dE| dt <= t_s int |dE| dt/t
-    series_bound = min(t_hi, _switch(model)) * _series_bound(model, t_hi)
+        # [0, t_lo]: integrand -> chi/6 + O(t); trapezoid with measured slope bound
+        w0 = model.euler_char / 6.0
+        w_lo = float(integrand(np.array([t_lo]))[0])
+        w_half = float(integrand(np.array([0.5 * t_lo]))[0])
+        small_corr = 0.5 * t_lo * (w0 + w_lo)
+        slope = abs(w_lo - w_half) / (0.5 * t_lo)
+        small_bound = (abs(w_half - 0.5 * (w0 + w_lo)) + slope * t_lo) * t_lo
 
-    value = quad.value + small_corr - a_m1 * math.log(msq)
-    bound = quad.err_bound + small_bound + tail_bound + series_bound
-    profile = quad.profile()
-    profile.update({"t_lo": t_lo, "t_hi": t_hi, "small_t_correction": small_corr,
-                    "small_t_bound": small_bound, "tail_bound": tail_bound,
-                    "series_bound": series_bound})
-    if not (bound <= abs_tol):
-        raise ValueError(f"heat_integral bound {bound:.3e} exceeds abs_tol {abs_tol:.3e}")
-    return HeatIntegral(value=value, abs_error_bound=bound, quadrature_profile=profile)
+        # [t_hi, inf): both terms decay at least like e^{-msq t}
+        theta_hi = float(_theta(model, msq, np.array([t_hi]))[0])
+        ref_hi = (a_m1 / t_hi) * math.exp(-msq * t_hi)
+        tail_bound = (theta_hi + ref_hi) / msq
+
+        # truncated sphere series, used only below the switch point t_s:
+        # int |dE| dt <= t_s int |dE| dt/t
+        series_bound = min(t_hi, _switch(model)) * _series_bound(model, t_hi)
+
+        value = quad.value + small_corr - a_m1 * math.log(msq)
+        bound = quad.err_bound + small_bound + tail_bound + series_bound
+        profile = quad.profile()
+        profile.update({"t_lo": t_lo, "t_hi": t_hi, "small_t_correction": small_corr,
+                        "small_t_bound": small_bound, "tail_bound": tail_bound,
+                        "series_bound": series_bound})
+        result = HeatIntegral(value=value, abs_error_bound=bound, quadrature_profile=profile)
+        _remember(_HEAT_MEMO, key, result)
+    if not (result.abs_error_bound <= abs_tol):
+        raise ValueError(f"heat_integral bound {result.abs_error_bound:.3e} "
+                         f"exceeds abs_tol {abs_tol:.3e}")
+    return result

@@ -36,13 +36,10 @@ import numpy as np
 
 __all__ = [
     "SurfaceModel",
-    "SpectralLine",
     "make_surface",
     "parse_surface",
-    "spectrum",
     "eigen_arrays",
     "first_positive_eigenvalue",
-    "geodesic_distance",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -64,12 +61,6 @@ class SurfaceModel:
         if self.kind == "sphere":
             return f"sphere:R={self.radius:g}"
         return f"torus:L1={self.l1:g},L2={self.l2:g}"
-
-
-@dataclass(frozen=True)
-class SpectralLine:
-    eigenvalue: float
-    multiplicity: int
 
 
 def make_surface(kind: str, **params) -> SurfaceModel:
@@ -131,13 +122,16 @@ _MAX_SPECTRUM_POINTS = 30_000_000
 _CLOSE_LINES = 2e-15
 
 
-def _spectrum_size(model: SurfaceModel, lam_max: float) -> float:
-    """Upper estimate of the sphere's lines or the torus's lattice points
-    with eigenvalue <= lam_max, from the geometry alone."""
+def _spectrum_size(model: SurfaceModel, lam_max: float) -> tuple[float, float]:
+    """Upper estimates of the spectral lines and of the modes (torus: lattice
+    points) with eigenvalue <= lam_max, from the geometry alone."""
     root = math.sqrt(lam_max)
     if model.kind == "sphere":
-        return model.radius * root + 1.0
-    return (root * model.l1 / math.pi + 3.0) * (root * model.l2 / math.pi + 3.0)
+        lines = model.radius * root + 1.0
+        return lines, lines * lines
+    # every line has a point in the quadrant p, q >= 0
+    lines = (root * model.l1 / _TWO_PI + 1.0) * (root * model.l2 / _TWO_PI + 1.0)
+    return lines, (root * model.l1 / math.pi + 3.0) * (root * model.l2 / math.pi + 3.0)
 
 
 def _sphere_lines(radius: float, lam_max: float):
@@ -208,7 +202,8 @@ def eigen_arrays(model: SurfaceModel, lam_max: float) -> tuple[np.ndarray, np.nd
         bucket *= 2.0
     key = (model.kind, model.radius, model.l1, model.l2, bucket)
     if key not in _SPECTRUM_CACHE:
-        size = _spectrum_size(model, bucket)
+        lines, points = _spectrum_size(model, bucket)
+        size = lines if model.kind == "sphere" else points
         if size > _MAX_SPECTRUM_POINTS:
             unit = "spectral lines" if model.kind == "sphere" else "lattice points"
             raise ValueError(
@@ -223,47 +218,8 @@ def eigen_arrays(model: SurfaceModel, lam_max: float) -> tuple[np.ndarray, np.nd
     return lams[:n], mults[:n]
 
 
-def spectrum(model: SurfaceModel, lam_max: float) -> list[SpectralLine]:
-    """Ordered spectral lines (eigenvalue, multiplicity) with eigenvalue <= lam_max."""
-    lams, mults = eigen_arrays(model, lam_max)
-    return [SpectralLine(float(l), int(m)) for l, m in zip(lams, mults)]
-
-
 def first_positive_eigenvalue(model: SurfaceModel) -> float:
     if model.kind == "sphere":
         return 2.0 / (model.radius * model.radius)
     return _FOUR_PI_SQ / max(model.l1, model.l2) ** 2
 
-
-# ----------------------------------------------------------------- distance
-
-def geodesic_distance(model: SurfaceModel, x, y) -> float:
-    """Geodesic distance between two points.
-
-    Sphere points are 3-vectors of norm R; torus points are coordinate pairs,
-    reduced to the fundamental domain before minimizing over the 3x3 block of
-    lattice translates.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if model.kind == "sphere":
-        if x.shape != (3,) or y.shape != (3,):
-            raise ValueError("sphere points must be 3-vectors")
-        r = model.radius
-        nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
-        if abs(nx - r) > 1e-8 * r or abs(ny - r) > 1e-8 * r:
-            raise ValueError("sphere points must lie on the sphere (|x| = R)")
-        c = float(np.dot(x, y)) / (nx * ny)
-        return r * math.acos(min(1.0, max(-1.0, c)))
-    if x.shape != (2,) or y.shape != (2,):
-        raise ValueError("torus points must be coordinate pairs")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("torus points must be finite")
-    sides = np.array([model.l1, model.l2])
-    d = np.mod(x - y, sides)
-    best = math.inf
-    for a in (-1, 0, 1):
-        for b in (-1, 0, 1):
-            shift = d + np.array([a, b]) * sides
-            best = min(best, float(np.hypot(shift[0], shift[1])))
-    return best

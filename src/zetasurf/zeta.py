@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import beta as _beta_fn, betainc as _betainc, gammaln as _gammaln
 
-from .heat import _remainder, _series_bound, _theta, heat_coeffs
+from .heat import _EXP_CUT, _remainder, _remember, _series_bound, _theta, heat_coeffs
 from .sumtools import log_quadrature, stable_sum
 from .surfaces import SurfaceModel, first_positive_eigenvalue
 
@@ -39,15 +39,14 @@ __all__ = [
     "LaurentFit",
     "TraceResult",
     "zeta_det",
-    "zeta_value",
     "dirichlet_trace",
     "laurent_fit",
 ]
 
 _EULER = float(np.euler_gamma)
-_FOUR_PI = 4.0 * math.pi
-_EXP_CUT = 52.0
 _T_LO = 1e-5
+# (zeta0, zeta'(0), bound) per (model, msq, n0, t_star); capped like heat's memo
+_ZETA_MEMO: dict[tuple, tuple[float, float, float]] = {}
 
 
 @dataclass(frozen=True)
@@ -73,10 +72,6 @@ class LaurentFit:
 
 
 # --------------------------------------------------------------- Mellin side
-
-def _zero_modes(msq: float, exclude_zero_mode: bool) -> int:
-    return 1 if (exclude_zero_mode and msq == 0.0) else 0
-
 
 def _mellin_pieces(model: SurfaceModel, msq: float, n0: int, t_star: float):
     """F(0), G(0) and their certified bounds for the split formula."""
@@ -120,54 +115,22 @@ def zeta_det(model: SurfaceModel, msq: float, exclude_zero_mode: bool = False,
                          "(zeta is undefined with the zero mode included)")
     if not (0.0 < tol <= 1e-4):
         raise ValueError("tol must lie in (0, 1e-4]")
-    n0 = _zero_modes(msq, exclude_zero_mode)
-    f0, f_bound, g0, g_bound, a_m1, a_0 = _mellin_pieces(model, msq, n0, t_star)
-    a0t = a_0 - n0
-    zeta_prime0 = f0 + g0 - a_m1 / t_star + a0t * math.log(t_star) + _EULER * a0t
-    bound = f_bound + g_bound
+    n0 = 1 if (exclude_zero_mode and msq == 0.0) else 0
+    key = (model, msq, n0, t_star)
+    entry = _ZETA_MEMO.get(key)
+    if entry is None:
+        f0, f_bound, g0, g_bound, a_m1, a_0 = _mellin_pieces(model, msq, n0, t_star)
+        a0t = a_0 - n0
+        zeta_prime0 = f0 + g0 - a_m1 / t_star + a0t * math.log(t_star) + _EULER * a0t
+        entry = (a0t, zeta_prime0, f_bound + g_bound)
+        _remember(_ZETA_MEMO, key, entry)
+    a0t, zeta_prime0, bound = entry
+    # tol only gates the result, so a remembered one is checked on every call
     if not (bound <= tol):
         raise ValueError(f"zeta_det bound {bound:.3e} exceeds tol {tol:.3e}")
     return ZetaResult(zeta0=a0t, zeta_prime0=zeta_prime0,
                       det_zeta=math.exp(-zeta_prime0), err_bound=bound,
                       excluded_zero_modes=n0)
-
-
-def zeta_value(model: SurfaceModel, msq: float, s: float,
-               exclude_zero_mode: bool = False, t_star: float = 1.0) -> float:
-    """zeta_E(s) at real s away from the poles, via the same Mellin split.
-
-    Used as an independent numeric path to values like zeta(0+/- eps); the
-    closed assembly in `zeta_det` never evaluates these integrals at s != 0.
-    """
-    if msq < 0:
-        raise ValueError("msq must be >= 0")
-    if msq == 0.0 and not exclude_zero_mode:
-        raise ValueError("msq = 0 requires exclude_zero_mode=True")
-    if abs(s) < 1e-4 or abs(s - 1.0) < 1e-4:
-        raise ValueError("zeta_value needs s away from the s=0 and s=1 poles")
-    n0 = _zero_modes(msq, exclude_zero_mode)
-    coeffs = heat_coeffs(model, msq)
-    a_m1, a_0 = coeffs.a_minus1, coeffs.a_0
-    a0t = a_0 - n0
-
-    def f_int(t: np.ndarray) -> np.ndarray:
-        return t ** (s - 1.0) * _remainder(model, msq, t)
-
-    quad_f = log_quadrature(f_int, _T_LO, t_star, abs_tol=1e-13)
-    rho_lo = float(_remainder(model, msq, np.array([_T_LO]))[0]) / _T_LO
-    f_small = rho_lo * _T_LO ** (s + 1.0) / (s + 1.0)
-
-    mu = msq + (first_positive_eigenvalue(model) if n0 else 0.0)
-    t_hi = max(_EXP_CUT / mu, 2.0 * t_star)
-
-    def g_int(t: np.ndarray) -> np.ndarray:
-        return t ** (s - 1.0) * (_theta(model, msq, t) - n0)
-
-    quad_g = log_quadrature(g_int, t_star, t_hi, abs_tol=1e-13)
-    bracket = (quad_f.value + f_small + quad_g.value
-               + a_m1 * t_star ** (s - 1.0) / (s - 1.0)
-               + a0t * t_star ** s / s)
-    return bracket / math.gamma(s)
 
 
 # ------------------------------------------------------ direct trace engine

@@ -1,8 +1,10 @@
 import json
 import re
+import tracemalloc
 
 import pytest
 
+from zetasurf import parse_surface, verify_anomaly
 from zetasurf.cli import main
 
 
@@ -58,10 +60,28 @@ def test_unknown_command_usage_error(capsys):
 
 
 def test_flag_validation_names_flag(capsys):
-    code, _, err = _run(capsys, "det2", "--m0", "-1")
-    assert code == 1 and "--m0" in err
-    code, _, err = _run(capsys, "gff-verify", "--samples", "0")
-    assert code == 1 and "--samples" in err
+    cases = [
+        (("det2", "--m0", "-1"), "--m0", "must be >= 0"),
+        (("gff-verify", "--samples", "0"), "--samples", "must be >= 1"),
+        (("heat-trace", "--t", "-1"), "--t", "t must be positive and finite"),
+        (("heat-trace", "--t", "nan"), "--t", "t must be positive and finite"),
+        (("det2", "--m0", "0"), "--m0", "m0sq must be positive"),
+        (("cf", "--m0", "0"), "--m0", "m0sq must be positive"),
+        (("verify-anomaly", "--m0", "0"), "--m0", "m0sq must be positive"),
+        (("verify-mainlemma", "--m0", "0"), "--m0", "msq must be > 0"),
+        (("gff-verify", "--m0", "0"), "--m0", "m0 must be positive"),
+    ]
+    for argv, flag, message in cases:
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and not out, argv
+        assert flag in err and message in err, (argv, err)
+
+
+def test_det_zeta_massless_stays_valid(capsys):
+    # m0 = 0 selects the primed determinant
+    code, out, err = _run(capsys, "det-zeta", "--m0", "0")
+    assert code == 0, err
+    assert json.loads(out)["results"][0]["excluded_zero_modes"] == 1
 
 
 def test_heat_trace_with_explicit_t(capsys):
@@ -140,3 +160,29 @@ def test_oversized_lambda_max_refused(capsys, argv):
     code, out, err = _run(capsys, *argv, "--lambda-max", "1e30")
     assert code == 1 and not out
     assert "--lambda-max" in err
+
+
+def test_oversized_gff_draw_refused_before_allocating(capsys):
+    # 1e5 lines fit the spectrum budget, but their 1e10 modes do not
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, "gff-verify", "--surface", "sphere:R=1",
+                              "--lambda-max", "1e10")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and not out
+    assert "--lambda-max" in err and "modes" in err
+    assert peak < 1 << 20
+
+
+def test_verify_all_anomaly_rows_are_verify_anomaly_reports(capsys):
+    code, out, err = _run(capsys, "verify-all", "--samples", "20000", "--threads", "1")
+    assert code == 0, err
+    rows = [r for r in json.loads(out)["results"] if r.get("check") == "anomaly-grid"]
+    assert len(rows) == 27
+    for row in rows:
+        rep = verify_anomaly(parse_surface(row["surface"]), row["m0sq"], row["m1sq"],
+                             tol=1e-6)
+        assert (row["rel_residual"], row["error_budget"], row["pass"]) == (
+            rep.rel_residual, rep.error_budget, rep.passed)

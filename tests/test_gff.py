@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from zetasurf import (FieldSample, cf_mean, det2, eigen_arrays, make_surface,
                       measure_estimates, reweighted_mode_variance, sample_fields,
-                      smoothed_wick, verify_measure_identity, wick_mass_term)
+                      verify_measure_identity, wick_mass_term)
 from zetasurf.gff import _measure_chunk_stats
 
 SPHERE = make_surface("sphere", R=1)
@@ -73,27 +74,6 @@ def test_wick_orderings_differ_by_area_times_cf():
     assert w_c0 - w_c == pytest.approx(shift, rel=1e-12)
     with pytest.raises(ValueError):
         wick_mass_term(sample, 1.0, ordering="X")
-
-
-def test_smoothed_wick_limits():
-    sample = _collect(SPHERE, 1.0, 20.0, seed=4, n=1)[0]
-    assert smoothed_wick(sample, 1.0, 0.0) == pytest.approx(
-        wick_mass_term(sample, 1.0), abs=1e-14)
-    # t -> inf: only the zero mode survives
-    big = smoothed_wick(sample, 1.0, 1e3)
-    assert big == pytest.approx(sample.coeffs[0] ** 2 - 1.0, abs=1e-12)
-
-
-def test_smoothed_wick_convergence_bound():
-    t = 1e-4
-    for seed in (1, 2, 3):
-        sample = _collect(SPHERE, 1.0, 42.0, seed=seed, n=1)[0]
-        w0 = wick_mass_term(sample, 1.0)
-        wt = smoothed_wick(sample, 1.0, t)
-        lam_top = float(sample.lambdas.max())
-        bound = 2.0 * t * lam_top * float(
-            np.abs(sample.coeffs ** 2 - 1.0 / (1.0 + sample.lambdas)).sum())
-        assert abs(wt - w0) <= bound + 1e-15
 
 
 def test_measure_identity_trivial_shift():
@@ -176,3 +156,18 @@ def test_mode_range_checked_at_both_ends():
             measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=100, seed=1, mode=bad)
     for ok in (0, 48):
         assert measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=100, seed=1, mode=ok)[1].stderr > 0
+
+
+def test_oversized_chunk_draw_refused_before_allocating():
+    # the modes fit the budget in both calls, but one chunk's draw does not:
+    # 65536 chi^2 rows over 5001 lines, and 1000 normal rows over 2.5e5 modes
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="draws per chunk"):
+            verify_measure_identity(SPHERE, 1.0, 1.0, 2.5e7, n=100000, seed=1)
+        with pytest.raises(ValueError, match="draws per chunk"):
+            next(sample_fields(SPHERE, 1.0, 2.5e5, seed=1, n=1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

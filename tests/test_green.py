@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import psi
 
-from zetasurf import (cf_mean, det2, gamma0, green_pointwise, heat_integral, k0,
-                      make_surface, torus_cf_image_sum)
+from zetasurf import (cf_mean, det2, gamma0, heat_integral, k0, make_surface,
+                      torus_cf_image_sum)
 from zetasurf import green
-from zetasurf.sumtools import neville_zero
 
 PI = math.pi
 EULER = float(np.euler_gamma)
@@ -133,48 +133,23 @@ def test_image_sum_free_space_limit():
     assert res.cf_mean == pytest.approx(FREE_SPACE_CF, abs=1e-12)
 
 
-# --------------------------------------------------------------- pointwise
-
-def test_torus_pointwise_equals_image_formula():
-    from zetasurf.bessel import k0
-    x, y = np.array([0.1, 0.2]), np.array([0.55, 0.7])
-    val = green_pointwise(TORUS, 1.0, x, y)
-    oracle = 0.0
-    for a in range(-40, 41):
-        for b in range(-40, 41):
-            r = math.hypot(x[0] - y[0] + a, x[1] - y[1] + b)
-            if r < 44.0:
-                oracle += k0(r)
-    assert val == pytest.approx(oracle / (2 * PI), rel=1e-12)
+def _sphere_cf_closed_form(radius, m0sq):
+    # I_R(m^2) = R^2 [-psi(1/2 + kappa) - psi(1/2 - kappa) + ln R^2], with
+    # kappa^2 = 1/4 - R^2 m^2 (imaginary kappa: -2 Re psi(1/2 + i|kappa|));
+    # then C_f = I/A + (ln 2 m0 - gamma)/(2 pi)
+    rsq = radius * radius
+    kappa = np.sqrt(complex(0.25 - rsq * m0sq))
+    digammas = (psi(0.5 + kappa) + psi(0.5 - kappa)).real
+    integral = rsq * (-digammas + math.log(rsq))
+    area = 4 * PI * rsq
+    return integral / area + (math.log(2.0 * math.sqrt(m0sq)) - EULER) / (2 * PI)
 
 
-def test_pointwise_symmetry():
-    x, y = np.array([0.15, 0.85]), np.array([0.4, 0.1])
-    assert green_pointwise(TORUS, 1.5, x, y) == pytest.approx(
-        green_pointwise(TORUS, 1.5, y, x), abs=1e-10)
-    xs = np.array([0.0, 0.0, 1.0])
-    ys = np.array([math.sin(0.7), 0.0, math.cos(0.7)])
-    assert green_pointwise(SPHERE, 1.0, xs, ys) == pytest.approx(
-        green_pointwise(SPHERE, 1.0, ys, xs), abs=1e-10)
-
-
-def test_sphere_pointwise_short_distance_extrapolation():
-    # C(x,y) + (1/2 pi) ln(m0 d) -> C_f as d -> 0 (Richardson over d)
-    target = cf_mean(SPHERE, 1.0).cf_mean
-    ds = [0.2, 0.1, 0.05]
-    vals = []
-    for d in ds:
-        x = np.array([0.0, 0.0, 1.0])
-        y = np.array([math.sin(d), 0.0, math.cos(d)])
-        c = green_pointwise(SPHERE, 1.0, x, y)
-        vals.append(c + math.log(d) / (2 * PI))  # m0 = 1
-    extrap, _ = neville_zero([d * d for d in ds], vals)
-    assert extrap == pytest.approx(target, abs=1e-3)
-
-
-def test_pointwise_rejects_coincident_points():
-    with pytest.raises(ValueError, match="close"):
-        green_pointwise(TORUS, 1.0, np.array([0.1, 0.1]), np.array([0.1, 0.1]))
-    north = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        green_pointwise(SPHERE, 1.0, north, -north)
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0, 10.0])
+@pytest.mark.parametrize("m0sq", [0.1, 0.5, 1.0, 4.0])
+def test_sphere_cf_matches_digamma_closed_form(radius, m0sq):
+    # the independent sphere route for C_f; R^2 m^2 < 1/4 takes the real
+    # kappa branch at R = 0.5 (m^2 = 0.1, 0.5) and R = 1 (m^2 = 0.1)
+    model = make_surface("sphere", R=radius)
+    bound = heat_integral(model, m0sq).abs_error_bound / model.area
+    assert abs(cf_mean(model, m0sq).cf_mean - _sphere_cf_closed_form(radius, m0sq)) <= bound

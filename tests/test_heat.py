@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from zetasurf import heat_coeffs, heat_integral, heat_trace, make_surface, torus_cf_image_sum
 from zetasurf.heat import (_SERIES_COEFFS, _SERIES_REM, _remainder, _small_t_excess,
-                           _theta_laplace, _theta_sphere, _theta_torus_direct)
+                           _theta_direct, _theta_laplace)
 from zetasurf.sumtools import log_quadrature, neville_zero
 
 PI = math.pi
@@ -32,7 +32,7 @@ def test_torus_poisson_form_small_t():
 
 def test_torus_direct_vs_poisson_at_crossover():
     t = np.array([0.05])
-    d = float(_theta_torus_direct(TORUS, t)[0])
+    d = float(_theta_direct(TORUS, t)[0])
     p = float(_theta_laplace(TORUS, t)[0])  # Poisson form below t = 0.1
     assert abs(d - p) < 1e-10
 
@@ -136,7 +136,7 @@ def test_sphere_series_matches_level_sum(radius):
     x = np.linspace(0.01, 0.2, 96)
     t = x * radius * radius
     series = radius * radius / t + 1.0 / 3.0 + _small_t_excess(model, t)
-    rel = np.abs(series / _theta_sphere(model, t) - 1.0)
+    rel = np.abs(series / _theta_direct(model, t) - 1.0)
     assert np.max(rel) < 1e-14
     assert np.max(rel[x <= 0.05]) < 2e-15
 

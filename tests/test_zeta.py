@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from zetasurf import (dirichlet_trace, heat_coeffs, heat_integral, laurent_fit,
-                      make_surface, residue_phase_space, zeta_det, zeta_value)
-from zetasurf.sumtools import neville_zero, stable_sum
+                      make_surface, residue_phase_space, zeta_det)
+from zetasurf import heat, zeta
+from zetasurf.sumtools import stable_sum
 
 PI = math.pi
 SPHERE = make_surface("sphere", R=1)
@@ -21,15 +22,6 @@ def test_zeta0_equals_heat_coefficient():
     res = zeta_det(SPHERE, 1.0)
     assert res.zeta0 == pytest.approx(-2.0 / 3.0, abs=1e-14)
     assert res.zeta0 == pytest.approx(heat_coeffs(SPHERE, 1.0).a_0, abs=1e-14)
-
-
-def test_zeta0_numeric_path_matches_closed_assembly():
-    # independent numeric route: even-in-s average kills odd orders, then
-    # extrapolate in s^2 to zero
-    ss = [0.02, 0.01, 0.005]
-    avg = [0.5 * (zeta_value(SPHERE, 1.0, s) + zeta_value(SPHERE, 1.0, -s)) for s in ss]
-    z0, _ = neville_zero([s * s for s in ss], avg)
-    assert z0 == pytest.approx(zeta_det(SPHERE, 1.0).zeta0, abs=1e-8)
 
 
 def test_det_zeta_prime_literature_oracle():
@@ -157,3 +149,33 @@ def test_det_zeta_prime_sphere_scale_law(radius):
 def test_zeta_det_nan_bound_raises():
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="bound nan"):
         zeta_det(SPHERE, math.inf)
+
+
+def test_memo_shared_by_equal_surfaces():
+    a, b = make_surface("torus", L1=1.3, L2=0.7), make_surface("torus", L1=1.3, L2=0.7)
+    assert a is not b and a == b
+    first = zeta_det(a, 1.7)
+    size = len(zeta._ZETA_MEMO)
+    assert zeta_det(b, 1.7) == first
+    assert len(zeta._ZETA_MEMO) == size
+    assert (b, 1.7, 0, 1.0) in zeta._ZETA_MEMO
+
+
+def test_memo_checks_tol_on_every_call():
+    # the bound is about 3.3e-5 here: inside tol = 1e-4, over the default 1e-8
+    res = zeta_det(SPHERE, 100.0, tol=1e-4)
+    assert 1e-5 < res.err_bound <= 1e-4
+    assert (SPHERE, 100.0, 0, 1.0) in zeta._ZETA_MEMO
+    with pytest.raises(ValueError, match="exceeds tol"):
+        zeta_det(SPHERE, 100.0)
+    assert zeta_det(SPHERE, 100.0, tol=1e-4) == res
+
+
+def test_memos_never_exceed_cap(monkeypatch):
+    monkeypatch.setattr(heat, "_MEMO_CAP", 3)
+    monkeypatch.setattr(zeta, "_ZETA_MEMO", {})
+    monkeypatch.setattr(heat, "_HEAT_MEMO", {})
+    for msq in np.linspace(1.0, 2.0, 8):
+        zeta_det(TORUS12, float(msq))
+        heat_integral(TORUS12, float(msq))
+        assert len(zeta._ZETA_MEMO) <= 3 and len(heat._HEAT_MEMO) <= 3
