@@ -22,13 +22,21 @@ with B ~ Beta(1/2, (mult_l - 1)/2) independent of G_l (B = 1 on a line of
 multiplicity 1).  `sample_fields` still draws one normal per mode, since the
 Wick functionals need whole fields.
 
-Reproducibility contract: every chunk of samples draws from a counter-based
-Philox stream keyed by (seed, chunk index), and chunk statistics are reduced
+Reproducibility contract: chunk c of the samples draws from an SFC64
+generator seeded by SeedSequence((seed, c)), and chunk statistics are reduced
 in chunk order, so results are bit-identical for a fixed (seed, chunk size)
 regardless of how many workers evaluate the chunks.  Within a chunk the
-Monte Carlo stream holds the chunk's chi^2 line draws first and then the
-Beta shares, so the identity estimate does not depend on the measured mode
-and `measure_estimates` equals its two separate calls bit for bit.
+Monte Carlo stream holds one contiguous standard_gamma(mult_l/2) draw of the
+chunk's size per spectral line, in line order (G_l is twice it), and then the
+measured mode's Beta shares, so the identity estimate does not depend on the
+measured mode and `measure_estimates` equals its two separate calls bit for
+bit.  `sample_fields` draws the chunk's normals from the same generator.
+
+The identity's target is `det2`'s truncated log, the one per-line sum of
+mult_l (log1p x_l - x_l).  The weights are summed as w e^{-shift}, with shift
+the largest log-weight drawn, and the mean, its standard error and the target
+are compared in that frame; each is reported as inf only where it exceeds
+float range.
 """
 from __future__ import annotations
 
@@ -38,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .green import cf_mean
+from .anomaly import _exp
+from .green import cf_mean, det2
 from .sumtools import stable_sum
 from .surfaces import _MAX_SPECTRUM_POINTS, SurfaceModel, _spectrum_size, eigen_arrays
 
@@ -72,10 +81,11 @@ class MCEstimate:
     z_score: float
 
 
-def _mode_lambdas(model: SurfaceModel, lam_max: float, rows: int,
-                  per_line: bool) -> np.ndarray:
-    """Each mode's eigenvalue, refused before anything is built unless the modes
-    and one chunk's draw (`rows` x lines if per_line, else x modes) fit the budget."""
+def _checked_spectrum(model: SurfaceModel, lam_max: float, rows: int,
+                     per_line: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, multiplicities) of the lines, refused before anything is
+    built unless the modes and one chunk's draw (`rows` x lines if per_line,
+    else x modes) fit the budget."""
     lines, modes = _spectrum_size(model, max(lam_max, 0.0))  # eigen_arrays rejects lam_max < 0
     draw = rows * (lines if per_line else modes)
     if max(modes, draw) > _MAX_SPECTRUM_POINTS:
@@ -85,11 +95,11 @@ def _mode_lambdas(model: SurfaceModel, lam_max: float, rows: int,
     lams, mults = eigen_arrays(model, lam_max)
     if lams.size < 2:
         raise ValueError("lam_max must cover at least 2 spectral lines")
-    return np.repeat(lams, mults.astype(int))
+    return lams, mults
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, chunk_index))))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, chunk_index))))
 
 
 def sample_fields(model: SurfaceModel, msq: float, lam_max: float, seed: int, n: int,
@@ -100,7 +110,8 @@ def sample_fields(model: SurfaceModel, msq: float, lam_max: float, seed: int, n:
                          "variance in the massless measure)")
     if n < 1:
         raise ValueError("n must be >= 1")
-    lambdas = _mode_lambdas(model, lam_max, min(chunk_size, n), per_line=False)
+    lams, mults = _checked_spectrum(model, lam_max, min(chunk_size, n), per_line=False)
+    lambdas = np.repeat(lams, mults.astype(int))
     std = 1.0 / np.sqrt(msq + lambdas)
     produced = 0
     chunk_index = 0
@@ -143,33 +154,43 @@ def _chunk_plan(n: int, chunk_size: int):
 def _measure_chunk_stats(m0sq, m1sq, lams, mults, seed, idx, size, line):
     rng = _chunk_rng(seed, idx)
     var = 1.0 / (m0sq + lams)
-    # G_l = sum of the line's phi^2/var: one chi^2_mult draw per spectral line
-    g = 2.0 * rng.standard_gamma(0.5 * mults, size=(size, lams.size))
-    logw = -0.5 * m1sq * ((g * var).sum(axis=1) - (mults * var).sum())
-    shift = float(np.max(logw))
-    e = np.exp(logw - shift)
-    phi2 = var[line] * g[:, line]
+    # sum_l var_l G_l with G_l = 2 Gamma(mult_l/2) ~ chi^2_mult: one contiguous
+    # draw per spectral line, in line order, added in that order
+    acc = np.zeros(size)
+    buf = np.empty(size)
+    for j in range(lams.size):
+        rng.standard_gamma(0.5 * mults[j], size=size, out=buf)
+        buf *= 2.0 * var[j]
+        acc += buf
+        if j == line:
+            phi2 = buf.copy()
+    acc -= np.sum(mults * var)                   # W_C
+    acc *= -0.5 * m1sq                           # log w
+    shift = float(np.max(acc))
+    acc -= shift
+    e = np.exp(acc, out=acc)                     # w e^{-shift}
     if mults[line] > 1:
         # the measured mode's share of its line, Beta(1/2, (mult-1)/2), drawn
-        # after g so that the identity estimate does not depend on the mode
-        phi2 = phi2 * rng.beta(0.5, 0.5 * (mults[line] - 1.0), size=size)
+        # after every line so that the identity estimate does not depend on the mode
+        phi2 *= rng.beta(0.5, 0.5 * (mults[line] - 1.0), size=size)
+    a = phi2 * e                                 # w * phi^2
     return {
         "shift": shift,
         "s_w": float(np.sum(e)),
         "s_w2": float(np.sum(e * e)),
-        "s_a": float(np.sum(e * phi2)),          # w * phi^2
-        "s_a2": float(np.sum((e * phi2) ** 2)),
-        "s_ab": float(np.sum(e * e * phi2)),     # (w phi^2) * w
+        "s_a": float(np.sum(a)),
+        "s_a2": float(np.sum(a * a)),
+        "s_ab": float(np.sum(a * e)),            # (w phi^2) * w
     }
 
 
 def _collect_stats(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode):
     m0sq, m1sq = m0 * m0, m1 * m1
-    lambdas = _mode_lambdas(model, lam_max, min(chunk_size, n), per_line=True)
-    lams, mults = eigen_arrays(model, lam_max)
-    if not 0 <= mode < lambdas.size:
-        raise ValueError(f"mode must be in [0, {lambdas.size})")
-    line = int(np.searchsorted(np.cumsum(mults), mode, side="right"))
+    lams, mults = _checked_spectrum(model, lam_max, min(chunk_size, n), per_line=True)
+    ends = np.cumsum(mults)
+    if not 0 <= mode < int(ends[-1]):
+        raise ValueError(f"mode must be in [0, {int(ends[-1])})")
+    line = int(np.searchsorted(ends, mode, side="right"))
     plan = _chunk_plan(n, chunk_size)
     worker = lambda item: _measure_chunk_stats(
         m0sq, m1sq, lams, mults, seed, item[0], item[1], line)
@@ -188,12 +209,15 @@ def _collect_stats(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode):
         "a2": math.fsum(c * st["s_a2"] for c, st in zip(scale2, stats)),
         "ab": math.fsum(c * st["s_ab"] for c, st in zip(scale2, stats)),
     }
-    return lambdas, big, sums
+    return float(lams[line]), big, sums
 
 
-def _truncated_product_target(m0sq: float, m1sq: float, lambdas: np.ndarray) -> float:
-    x = m1sq / (m0sq + lambdas)
-    return math.exp(-0.5 * stable_sum(np.log1p(x) - x))
+def _unscaled(x: float, shift: float) -> float:
+    """x e^shift for x >= 0, with inf only where it exceeds float range."""
+    try:
+        return x * math.exp(shift)
+    except OverflowError:
+        return _exp(math.log(x) + shift) if x > 0.0 else 0.0
 
 
 def _estimates(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode):
@@ -204,16 +228,19 @@ def _estimates(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode):
         raise ValueError("m1 must be >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
-    lambdas, shift, sums = _collect_stats(model, m0, m1, lam_max, n, seed,
-                                          chunk_size, threads, mode=mode)
-    # E[exp(-m1^2 W_C / 2)] against the exact truncated product
-    mean = math.exp(shift) * sums["w"] / n
-    second = math.exp(2.0 * shift) * sums["w2"]
-    var = max(0.0, (second - n * mean * mean) / max(1, n - 1))
+    lam_mode, shift, sums = _collect_stats(model, m0, m1, lam_max, n, seed,
+                                           chunk_size, threads, mode=mode)
+    # E[exp(-m1^2 W_C / 2)] against the exact truncated product, compared in
+    # the frame of the sums, w e^{-shift}, where the mean is at most 1 and its
+    # error cannot overflow; e^{-shift} cancels in z.
+    log_target = -0.5 * det2(model, m0 * m0, m1 * m1, lam_max=lam_max).truncated_log
+    mean = sums["w"] / n
+    var = max(0.0, (sums["w2"] - n * mean * mean) / max(1, n - 1))
     stderr = math.sqrt(var / n)
-    target = _truncated_product_target(m0 * m0, m1 * m1, lambdas)
+    target = _exp(log_target - shift)
     z = 0.0 if stderr == 0.0 else (mean - target) / stderr
-    identity = MCEstimate(mean=mean, stderr=stderr, n_samples=n, target=target, z_score=z)
+    identity = MCEstimate(mean=_unscaled(mean, shift), stderr=_unscaled(stderr, shift),
+                          n_samples=n, target=_exp(log_target), z_score=z)
 
     # E[w phi_mode^2]/E[w] against 1/(m0^2 + m1^2 + lambda)
     mu_b = sums["w"] / n
@@ -225,7 +252,7 @@ def _estimates(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode):
     cov = sums["ab"] / n - mu_a * mu_b
     var_r = (var_a - 2.0 * ratio * cov + ratio ** 2 * var_b) / (mu_b ** 2)
     stderr = math.sqrt(max(0.0, var_r) / n)
-    target = 1.0 / (m0 * m0 + m1 * m1 + float(lambdas[mode]))
+    target = 1.0 / (m0 * m0 + m1 * m1 + lam_mode)
     z = 0.0 if stderr == 0.0 else (ratio - target) / stderr
     variance = MCEstimate(mean=ratio, stderr=stderr, n_samples=n, target=target, z_score=z)
     return identity, variance

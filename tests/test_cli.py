@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tracemalloc
 
@@ -133,7 +134,25 @@ def test_gff_verify_small(capsys):
     assert code == 0
     rec = json.loads(out)["results"][0]
     assert abs(rec["z_score"]) < 3.0
-    assert rec["det2_truncated_match"] < 1e-12
+    # the truncated product over the multiplicity-expanded modes k(k+1), k <= 6,
+    # summed independently of det2's per-line sum
+    xs = [1.0 / (1.0 + k * (k + 1)) for k in range(7) for _ in range(2 * k + 1)]
+    log_product = math.fsum(math.log1p(x) - x for x in xs)
+    assert rec["target"] == pytest.approx(math.exp(-0.5 * log_product), rel=1e-12)
+    assert "det2_truncated_match" not in rec
+
+
+@pytest.mark.parametrize("m1", ["18", "20", "22", "25"])
+def test_gff_verify_overflowing_weights_fail_with_finite_z(capsys, m1):
+    # e^{2 shift} overflows a float from m1 = 18 on, the target from 20 and
+    # e^shift from 22; the check must still fail cleanly rather than raise
+    code, out, err = _run(capsys, "gff-verify", "--surface", "sphere:R=1", "--m0", "1",
+                          "--m1", m1, "--samples", "20000", "--threads", "1")
+    assert code == 2, err
+    report = json.loads(out)
+    rec = report["results"][0]
+    assert isinstance(rec["z_score"], float) and math.isfinite(rec["z_score"])
+    assert rec["pass"] is False and report["pass"] is False
 
 
 def test_massless_command(capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from zetasurf import (FieldSample, cf_mean, det2, eigen_arrays, make_surface,
                       measure_estimates, reweighted_mode_variance, sample_fields,
                       verify_measure_identity, wick_mass_term)
-from zetasurf.gff import _measure_chunk_stats
+from zetasurf.gff import _chunk_rng, _measure_chunk_stats
 
 SPHERE = make_surface("sphere", R=1)
 
@@ -90,7 +91,12 @@ def test_measure_identity_statistics():
 def test_measure_identity_target_matches_det2_truncation():
     est = verify_measure_identity(SPHERE, 1.0, 1.0, 42.0, n=100, seed=1)
     d2 = det2(SPHERE, 1.0, 1.0, lam_max=42.0)
-    assert abs(est.target / math.exp(-0.5 * d2.truncated_log) - 1.0) < 1e-12
+    assert est.target == math.exp(-0.5 * d2.truncated_log)
+    # against the product over the multiplicity-expanded modes, summed apart
+    lams, mults = eigen_arrays(SPHERE, 42.0)
+    xs = 1.0 / (1.0 + np.repeat(lams, mults.astype(int)))
+    log_product = math.fsum((np.log1p(xs) - xs).tolist())
+    assert abs(est.target / math.exp(-0.5 * log_product) - 1.0) < 1e-12
 
 
 def test_measure_identity_worker_invariance():
@@ -128,6 +134,33 @@ def test_line_level_sampler_statistics(model, m0, m1, mode):
     assert rw.target == 1.0 / (m0 * m0 + m1 * m1 + lambdas[mode])
     assert abs(est.z_score) < 3.0
     assert abs(rw.z_score) < 4.0
+
+
+def _reference_chunk_stats(m0sq, m1sq, lams, mults, seed, idx, size, line):
+    """The documented stream, rebuilt: a fresh (seed, chunk) generator, one
+    chi^2_mult = 2 Gamma(mult/2) draw per line in line order, then the
+    measured mode's Beta share of its line."""
+    rng = _chunk_rng(seed, idx)
+    var = 1.0 / (m0sq + lams)
+    gammas = [rng.standard_gamma(0.5 * m, size=size) for m in mults]
+    share = rng.beta(0.5, 0.5 * (mults[line] - 1.0), size=size) if mults[line] > 1 else 1.0
+    total = np.zeros(size)
+    for g, v in zip(gammas, var):
+        total = total + g * (2.0 * v)
+    logw = (total - np.sum(mults * var)) * (-0.5 * m1sq)
+    shift = float(np.max(logw))
+    e = np.exp(logw - shift)
+    a = gammas[line] * (2.0 * var[line]) * share * e
+    return {"shift": shift, "s_w": float(np.sum(e)), "s_w2": float(np.sum(e * e)),
+            "s_a": float(np.sum(a)), "s_a2": float(np.sum(a * a)),
+            "s_ab": float(np.sum(a * e))}
+
+
+@pytest.mark.parametrize("line", [0, 3])   # the mult-1 line and the mult-7 line
+def test_chunk_stats_follow_the_documented_stream(line):
+    lams, mults = eigen_arrays(SPHERE, 42.0)
+    args = (1.0, 1.0, lams, mults, 11, 3, 5000, line)
+    assert _measure_chunk_stats(*args) == _reference_chunk_stats(*args)
 
 
 def test_measured_mode_has_chi2_1_moments_in_degenerate_line():
@@ -171,3 +204,37 @@ def test_oversized_chunk_draw_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("model", [SPHERE, TORUS_1X2])
+def test_identity_z_is_standard_over_seeds(model):
+    z = np.array([verify_measure_identity(model, 1.0, 1.0, 42.0, n=20000, seed=s).z_score
+                  for s in range(1, 51)])
+    assert abs(z.mean()) <= 0.45
+    assert 0.7 <= z.std(ddof=1) <= 1.3
+
+
+@pytest.mark.parametrize("m1", [18.0, 20.0, 22.0, 25.0])
+def test_overflowing_weights_give_finite_z(m1):
+    # e^{2 shift}, the second moment's scale, exceeds float range from m1 = 18 on,
+    # the target from m1 = 20 and e^shift from m1 = 22
+    est, rw = measure_estimates(SPHERE, 1.0, m1, 42.0, n=20000, seed=1, threads=1)
+    assert math.isfinite(est.z_score) and est.z_score < -3.0
+    log_target = -0.5 * det2(SPHERE, 1.0, m1 * m1, lam_max=42.0).truncated_log
+    if log_target < math.log(sys.float_info.max):
+        assert est.target == math.exp(log_target)
+    else:
+        assert est.target == math.inf
+    assert 0.0 < est.stderr <= est.mean <= est.target
+    assert math.isfinite(rw.z_score)
+
+
+def test_line_level_bookkeeping_stays_small():
+    # 632 lines and 4e5 modes: nothing of the size of the modes is allocated
+    tracemalloc.start()
+    try:
+        measure_estimates(SPHERE, 1.0, 1.0, 4e5, n=50, seed=1, threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
