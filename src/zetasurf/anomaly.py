@@ -53,6 +53,7 @@ class AnomalyReport:
     error_budget: float
     inputs: dict
     passed: bool
+    budget_breakdown: dict = field(default_factory=dict)  # error_budget's terms
 
     def to_dict(self) -> dict:
         return {
@@ -63,6 +64,7 @@ class AnomalyReport:
             "rhs": self.rhs,
             "rel_residual": self.rel_residual,
             "error_budget": self.error_budget,
+            "budget_breakdown": self.budget_breakdown,
             "pass": self.passed,
         }
 
@@ -100,11 +102,16 @@ def verify_anomaly(model: SurfaceModel, m0sq: float, m1sq: float,
     lhs = z_shift.det_zeta
     # compared in log space: at small m0 the exp(m1^2 I) factor alone overflows
     rel_residual = abs(_exp(-z_shift.zeta_prime0 - log_rhs, math.expm1))
-    budget = (z_shift.err_bound + z_base.err_bound + d2.tail_bound
-              + m1sq * integral.abs_error_bound)
+    breakdown = {
+        "z_shift": z_shift.err_bound,                   # zeta_det at m0^2 + m1^2
+        "z_base": z_base.err_bound,                     # zeta_det at m0^2
+        "det2_tail": d2.tail_bound,
+        "m1sq_heat": m1sq * integral.abs_error_bound,   # m1^2 times heat_integral's bound
+    }
+    budget = math.fsum(breakdown.values())
     return AnomalyReport(
         lhs=lhs, rhs_factors=factors, rhs=rhs, rel_residual=rel_residual,
-        error_budget=budget,
+        error_budget=budget, budget_breakdown=breakdown,
         inputs={"surface": model.label(), "m0sq": m0sq, "m1sq": m1sq, "tol": tol},
         passed=bool(rel_residual <= max(budget, tol)),
     )

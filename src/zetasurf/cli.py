@@ -271,7 +271,8 @@ def _cmd_verify_all(args) -> tuple[list, bool]:
                 results.append({
                     "check": "anomaly-grid", "surface": model.label(),
                     "m0sq": m0sq, "m1sq": m1sq, "rel_residual": rep.rel_residual,
-                    "error_budget": rep.error_budget, "pass": rep.passed,
+                    "error_budget": rep.error_budget,
+                    "budget_breakdown": rep.budget_breakdown, "pass": rep.passed,
                 })
 
     # Laurent structure and the three-way residue agreement

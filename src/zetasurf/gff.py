@@ -84,14 +84,17 @@ class MCEstimate:
 def _checked_spectrum(model: SurfaceModel, lam_max: float, rows: int,
                      per_line: bool) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, multiplicities) of the lines, refused before anything is
-    built unless the modes and one chunk's draw (`rows` x lines if per_line,
-    else x modes) fit the budget."""
+    built unless one chunk's draw fits the budget: `rows` x lines if per_line,
+    else `rows` x modes, which also bounds the modes of a whole field.  The
+    line-level draw allocates nothing per mode, so only `eigen_arrays`' own
+    budget bounds its spectrum."""
     lines, modes = _spectrum_size(model, max(lam_max, 0.0))  # eigen_arrays rejects lam_max < 0
     draw = rows * (lines if per_line else modes)
-    if max(modes, draw) > _MAX_SPECTRUM_POINTS:
+    if draw > _MAX_SPECTRUM_POINTS:
         raise ValueError(
-            f"lam_max={lam_max:g} needs up to {modes:.2g} modes and {draw:.2g} draws "
-            f"per chunk on {model.label()}, over the budget of {_MAX_SPECTRUM_POINTS:.0e}")
+            f"lam_max={lam_max:g} needs {draw:.2g} draws per chunk ({rows} rows over "
+            f"{lines:.2g} lines, {modes:.2g} modes) on {model.label()}, over the "
+            f"budget of {_MAX_SPECTRUM_POINTS:.0e}")
     lams, mults = eigen_arrays(model, lam_max)
     if lams.size < 2:
         raise ValueError("lam_max must cover at least 2 spectral lines")

@@ -54,7 +54,13 @@ Small t is handled in closed form on both surfaces:
   s_i = 2 sum_{a>=1} e^{-a^2 L_i^2/4t}, so E = (A/4 pi t)(s_1 + s_2 + s_1 s_2).
 
 Above the switch both surfaces take the same direct level sum over
-`eigen_arrays`, cut where e^{-t lambda} falls below e^-52.
+`eigen_arrays`, cut where e^{-t lambda} falls below e^-52 at the switch
+point.  Every t above it sums those same lines, one numpy row reduction per
+t, so the value at t does not depend on the other points of a batch: the
+elementwise contract of `log_quadrature`, which evaluates a whole pass of
+panels in one call.  Below the switch the torus image sum is cut for the
+batch's largest t, but an image past a t's own cut is below e^-39 times its
+first image, under half an ulp, so it does not change the sum.
 
 With y = m^2 t the massive remainder follows exactly,
 
@@ -113,14 +119,17 @@ def heat_coeffs(model: SurfaceModel, msq: float) -> HeatCoeffs:
 # ------------------------------------------------------------- trace engine
 
 def _theta_direct(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
-    """Massless trace as the level sum, cut at the e^-52 relative floor."""
-    lams, mults = eigen_arrays(model, _EXP_CUT / float(np.min(t)))
+    """Massless trace as the level sum, cut at the e^-52 relative floor of
+    min(t, switch point): elementwise in t above the switch (module docstring)."""
+    lams, mults = eigen_arrays(model, _EXP_CUT / min(_switch(model), float(np.min(t))))
     out = np.empty_like(t)
     # chunk over t to keep the (t, line) matrix modest
     step = max(1, int(4e6 // max(1, lams.size)))
     for i in range(0, t.size, step):
-        ts = t[i:i + step]
-        out[i:i + step] = np.exp(-np.outer(ts, lams)) @ mults
+        terms = np.outer(t[i:i + step], -lams)
+        np.exp(terms, out=terms)
+        terms *= mults
+        out[i:i + step] = terms.sum(axis=1)
     return out
 
 
@@ -292,8 +301,7 @@ def heat_integral(model: SurfaceModel, msq: float, abs_tol: float = 1e-8,
 
         # [0, t_lo]: integrand -> chi/6 + O(t); trapezoid with measured slope bound
         w0 = model.euler_char / 6.0
-        w_lo = float(integrand(np.array([t_lo]))[0])
-        w_half = float(integrand(np.array([0.5 * t_lo]))[0])
+        w_lo, w_half = integrand(np.array([t_lo, 0.5 * t_lo])).tolist()
         small_corr = 0.5 * t_lo * (w0 + w_lo)
         slope = abs(w_lo - w_half) / (0.5 * t_lo)
         small_bound = (abs(w_half - 0.5 * (w0 + w_lo)) + slope * t_lo) * t_lo

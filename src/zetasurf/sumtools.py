@@ -6,6 +6,14 @@ summation so that 1e-8-level tolerances are not eaten by rounding drift in
 long sums.  The quadrature engine integrates smooth integrands on (0, inf)
 after the substitution u = ln t, with a per-panel Gauss-Legendre doubling
 test that yields an explicit error bound.
+
+Integrand contract.  `log_quadrature` hands its integrand every node of a
+pass at once: the initial partition in one call, then both children of each
+bisection in one call.  The integrand must therefore be elementwise in t: its
+value at a node may not depend on which other nodes share the batch.  With
+that, each panel's two Gauss-Legendre sums are row reductions of the same
+products as a panel-by-panel evaluation, and the per-call overhead is paid
+once per pass, not once per panel and rule.
 """
 from __future__ import annotations
 
@@ -57,47 +65,48 @@ class QuadratureResult:
         }
 
 
-def _panel_quad(fn, u_lo: float, u_hi: float, n_lo: int, n_hi: int):
+def _panel_pass(fn, u_lo: np.ndarray, u_hi: np.ndarray, n_lo: int, n_hi: int):
+    """Lists of the values and doubling errors of the panels [u_lo[i], u_hi[i]],
+    from one fn call on a (panels x (n_lo + n_hi)) node grid."""
     half = 0.5 * (u_hi - u_lo)
     mid = 0.5 * (u_hi + u_lo)
-    vals = []
-    for n in (n_lo, n_hi):
-        x, w = _gl_nodes(n)
-        u = mid + half * x
-        t = np.exp(u)
-        f = fn(t) * t  # dt = t du
-        vals.append(half * float(np.sum(w * f)))
-    return vals[1], abs(vals[1] - vals[0])
+    x_lo, w_lo = _gl_nodes(n_lo)
+    x_hi, w_hi = _gl_nodes(n_hi)
+    t = np.exp(mid[:, None] + half[:, None] * np.concatenate([x_lo, x_hi]))
+    f = (fn(t.ravel()) * t.ravel()).reshape(t.shape)  # dt = t du
+    # one row reduction per panel and rule, the same sum as a single panel's
+    v_lo = half * np.sum(w_lo * f[:, :n_lo], axis=1)
+    v_hi = half * np.sum(w_hi * f[:, n_lo:], axis=1)
+    return v_hi.tolist(), np.abs(v_hi - v_lo).tolist()
 
 
 def log_quadrature(fn, t_lo: float, t_hi: float, abs_tol: float = 1e-12,
                    n_lo: int = 32, n_hi: int = 48, max_splits: int = 60) -> QuadratureResult:
     """Integrate fn(t) dt over [t_lo, t_hi] on a log axis with a certified bound.
 
-    fn must accept a numpy array of t values and return integrand values.
-    Panels of log-width <= 1 are refined (worst-first bisection) until the
-    summed Gauss-Legendre doubling discrepancy drops below abs_tol or the
-    split budget is exhausted; the achieved bound is always reported.
+    fn must accept a 1-D numpy array of t values and return the integrand at
+    each, elementwise (module docstring): it is called once for the initial
+    panels of log-width <= 1 and once per bisection, on both children's nodes,
+    so a result takes 1 + splits calls.  Panels are refined (worst-first
+    bisection) until the summed Gauss-Legendre doubling discrepancy drops
+    below abs_tol or the split budget is exhausted; the achieved bound is
+    always reported.
     """
     if not (0.0 < t_lo < t_hi):
         raise ValueError("log_quadrature requires 0 < t_lo < t_hi")
     u_lo, u_hi = math.log(t_lo), math.log(t_hi)
     n_panels = max(1, int(math.ceil(u_hi - u_lo)))
     edges = np.linspace(u_lo, u_hi, n_panels + 1)
-    panels = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        v, e = _panel_quad(fn, a, b, n_lo, n_hi)
-        panels.append([a, b, e, v])
+    vals, errs = _panel_pass(fn, edges[:-1], edges[1:], n_lo, n_hi)
+    panels = [list(p) for p in zip(edges[:-1].tolist(), edges[1:].tolist(), errs, vals)]
 
     splits = 0
     while splits < max_splits and sum(p[2] for p in panels) > abs_tol:
         worst = max(range(len(panels)), key=lambda i: panels[i][2])
         a, b, _, _ = panels[worst]
         mid = 0.5 * (a + b)
-        left = _panel_quad(fn, a, mid, n_lo, n_hi)
-        right = _panel_quad(fn, mid, b, n_lo, n_hi)
-        panels[worst:worst + 1] = [[a, mid, left[1], left[0]],
-                                   [mid, b, right[1], right[0]]]
+        vals, errs = _panel_pass(fn, np.array([a, mid]), np.array([mid, b]), n_lo, n_hi)
+        panels[worst:worst + 1] = [[a, mid, errs[0], vals[0]], [mid, b, errs[1], vals[1]]]
         splits += 1
 
     value = math.fsum(p[3] for p in panels)

@@ -135,14 +135,16 @@ def zeta_det(model: SurfaceModel, msq: float, exclude_zero_mode: bool = False,
 
 # ------------------------------------------------------ direct trace engine
 
-def _psi_tail_integral(w: float, x0: float) -> float:
-    """int_{x0}^inf (1+y^2)^{-w} dy, w > 1/2, via the incomplete beta."""
+def _psi_tail_integral(w: float, x0):
+    """int_{x0}^inf (1+y^2)^{-w} dy, w > 1/2, via the incomplete beta
+    (elementwise in x0)."""
     tau = 1.0 / (1.0 + x0 * x0)
     return 0.5 * _beta_fn(w - 0.5, 0.5) * _betainc(w - 0.5, 0.5, tau)
 
 
-def _h_derivs(x: float, c: float, b: float, w: float):
-    """h = (c + b x^2)^{-w}: returns h, h', h''', h'''' (for Euler-Maclaurin)."""
+def _h_derivs(x: float, c, b: float, w: float):
+    """h = (c + b x^2)^{-w}: returns h, h', h''', h'''' (for Euler-Maclaurin),
+    elementwise in c."""
     u = c + b * x * x
     up = 2.0 * b * x
     upp = 2.0 * b
@@ -157,10 +159,11 @@ def _h_derivs(x: float, c: float, b: float, w: float):
     return h, hp, hppp, h4
 
 
-def _sum1d_tail(c: float, b: float, w: float, last: int) -> tuple[float, float]:
-    """sum_{q > last} (c + b q^2)^{-w} with a certified bound (w > 1/2)."""
+def _sum1d_tail(c, b: float, w: float, last: int):
+    """sum_{q > last} (c + b q^2)^{-w} with a certified bound (w > 1/2),
+    elementwise in c."""
     x = last + 1.0
-    x0 = x * math.sqrt(b / c)
+    x0 = x * np.sqrt(b / c)
     integral = c ** (0.5 - w) / math.sqrt(b) * _psi_tail_integral(w, x0)
     h, hp, hppp, h4 = _h_derivs(x, c, b, w)
     value = integral + 0.5 * h - hp / 12.0 + hppp / 720.0
@@ -202,15 +205,13 @@ def _dirichlet_torus(model: SurfaceModel, msq: float, s: float,
     al = (2.0 * math.pi / model.l1) ** 2
     be = (2.0 * math.pi / model.l2) ** 2
     q = np.arange(-q_cut, q_cut + 1, dtype=float)
-    beq2 = be * q * q
-    total = 0.0
-    bound = 0.0
-    for p in range(-p_cut, p_cut + 1):
-        c = msq + al * p * p
-        row = float(np.sum((c + beq2) ** (-w)))
-        t, bd = _sum1d_tail(c, be, w, q_cut)
-        total += row + 2.0 * t
-        bound += 2.0 * bd
+    p = np.arange(-p_cut, p_cut + 1, dtype=float)
+    c = msq + al * p * p
+    # all rows |p| <= p_cut at once: |q| <= q_cut summed, |q| > q_cut in closed form
+    rows = ((c[:, None] + be * q * q) ** (-w)).sum(axis=1)
+    tails, tail_bounds = _sum1d_tail(c, be, w, q_cut)
+    total = stable_sum(rows + 2.0 * tails)
+    bound = stable_sum(2.0 * tail_bounds)
     # |p| > p_cut: the row sum equals its q-integral up to a Poisson-dual
     # remainder that is exponentially small in L2 sqrt(c_p).
     kappa = math.sqrt(math.pi / be) * math.exp(_gammaln(w - 0.5) - _gammaln(w))

@@ -128,3 +128,17 @@ def test_anomaly_error_budget_propagation():
     expected = (z1.err_bound + z0.err_bound + d2.tail_bound
                 + 1.0 * integral.abs_error_bound)
     assert rep.error_budget == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", [SPHERE, TORUS12])
+def test_anomaly_budget_breakdown_sums_to_budget(model):
+    rep = verify_anomaly(model, 0.5, 2.0)
+    parts = rep.budget_breakdown
+    assert parts == {
+        "z_shift": zeta_det(model, 2.5).err_bound,
+        "z_base": zeta_det(model, 0.5).err_bound,
+        "det2_tail": det2(model, 0.5, 2.0).tail_bound,
+        "m1sq_heat": 2.0 * heat_integral(model, 0.5).abs_error_bound,
+    }
+    assert math.fsum(parts.values()) == rep.error_budget
+    assert rep.to_dict()["budget_breakdown"] == parts

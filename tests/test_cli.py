@@ -182,7 +182,8 @@ def test_oversized_lambda_max_refused(capsys, argv):
 
 
 def test_oversized_gff_draw_refused_before_allocating(capsys):
-    # 1e5 lines fit the spectrum budget, but their 1e10 modes do not
+    # 1e5 lines fit the spectrum budget, but one chunk's 65536 x 1e5 chi^2 draws
+    # do not; the message still names the 1e10 modes they stand for
     tracemalloc.start()
     try:
         code, out, err = _run(capsys, "gff-verify", "--surface", "sphere:R=1",
@@ -195,6 +196,15 @@ def test_oversized_gff_draw_refused_before_allocating(capsys):
     assert peak < 1 << 20
 
 
+def test_line_level_gff_not_refused_on_mode_count(capsys):
+    # 5e7 modes, but the draw is 100 rows over 7072 lines
+    code, out, err = _run(capsys, "gff-verify", "--surface", "sphere:R=1",
+                          "--lambda-max", "5e7", "--samples", "100")
+    assert "modes" not in err
+    assert code == 0, err
+    assert json.loads(out)["results"][0]["n_samples"] == 100
+
+
 def test_verify_all_anomaly_rows_are_verify_anomaly_reports(capsys):
     code, out, err = _run(capsys, "verify-all", "--samples", "20000", "--threads", "1")
     assert code == 0, err
@@ -205,3 +215,4 @@ def test_verify_all_anomaly_rows_are_verify_anomaly_reports(capsys):
                              tol=1e-6)
         assert (row["rel_residual"], row["error_budget"], row["pass"]) == (
             rep.rel_residual, rep.error_budget, rep.passed)
+        assert row["budget_breakdown"] == rep.budget_breakdown

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from zetasurf import heat_coeffs, heat_integral, heat_trace, make_surface, torus_cf_image_sum
 from zetasurf.heat import (_SERIES_COEFFS, _SERIES_REM, _remainder, _small_t_excess,
-                           _theta_direct, _theta_laplace)
+                           _theta_direct, _theta_laplace, _weyl_excess)
 from zetasurf.sumtools import log_quadrature, neville_zero
 
 PI = math.pi
@@ -151,6 +151,15 @@ def test_sphere_f_integrand_converges_within_split_budget(radius, msq):
                           abs_tol=1e-12)
     assert quad.err_bound <= 1e-12
     assert quad.splits < quad.max_splits
+
+
+@pytest.mark.parametrize("model", [SPHERE, make_surface("torus", L1=1.5, L2=0.7)])
+def test_weyl_excess_is_elementwise(model):
+    # log_quadrature batches whole passes, so a value may not depend on the
+    # batch; both switch points lie in (0.04, 0.1)
+    t = np.concatenate([np.geomspace(1e-5, 0.04, 41), np.geomspace(0.1, 40.0, 56)])
+    batch = _weyl_excess(model, t)
+    assert all(batch[i] == _weyl_excess(model, t[i:i + 1])[0] for i in range(t.size))
 
 
 def test_remainder_matches_direct_subtraction_at_moderate_t():

@@ -93,6 +93,40 @@ def test_dirichlet_trace_torus_self_consistency():
     assert abs(a.value - b.value) <= a.err_bound + b.err_bound + 1e-13
 
 
+def _row_loop_torus_trace(model, msq, s, p_cut=48, q_cut=48):
+    """tr C^{s+1} on a torus one lattice row at a time: the oracle for the
+    broadcast rows of _dirichlet_torus (same tails, same far-row term)."""
+    w = 1.0 + s
+    al = (2.0 * PI / model.l1) ** 2
+    be = (2.0 * PI / model.l2) ** 2
+    beq2 = be * np.arange(-q_cut, q_cut + 1, dtype=float) ** 2
+    total = bound = 0.0
+    for p in range(-p_cut, p_cut + 1):
+        c = msq + al * p * p
+        tail, bd = zeta._sum1d_tail(c, be, w, q_cut)
+        total += float(np.sum((c + beq2) ** (-w))) + 2.0 * tail
+        bound += 2.0 * bd
+    kappa = math.sqrt(PI / be) * math.exp(math.lgamma(w - 0.5) - math.lgamma(w))
+    t2, bd2 = zeta._sum1d_tail(msq, al, w - 0.5, p_cut)
+    total += 2.0 * kappa * t2
+    bound += 2.0 * kappa * bd2
+    c_edge = msq + al * (p_cut + 1.0) ** 2
+    bound += 8.0 * kappa * c_edge ** (0.5 - w) * math.exp(-model.l2 * math.sqrt(c_edge))
+    bound += 1e-16 * abs(total) * (2 * p_cut + 1)
+    return total, bound
+
+
+@pytest.mark.parametrize("lengths", [(1.0, 1.0), (1.0, 2.0), (1.5, 0.7), (3.0, 0.5)])
+@pytest.mark.parametrize("s", [0.2, 0.025])
+@pytest.mark.parametrize("msq", [0.25, 1.0, 4.0])
+def test_torus_trace_rows_match_row_loop_oracle(lengths, s, msq):
+    model = make_surface("torus", L1=lengths[0], L2=lengths[1])
+    res = zeta._dirichlet_torus(model, msq, s)
+    value, bound = _row_loop_torus_trace(model, msq, s)
+    assert res.value == pytest.approx(value, rel=1e-15, abs=0.0)
+    assert res.err_bound == pytest.approx(bound, rel=1e-15, abs=0.0)
+
+
 def test_dirichlet_validation():
     with pytest.raises(ValueError):
         dirichlet_trace(SPHERE, 1.0, 0.0)
