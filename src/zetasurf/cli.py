@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .anomaly import (mass_shift_prefactor, residue_phase_space, verify_anomaly,
                       verify_massless)
-from .gff import measure_estimates
+from .gff import _prefetch, measure_estimates
 from .green import cf_mean, det2, gamma0, torus_cf_image_sum
 from .heat import heat_coeffs, heat_integral, heat_trace
 from .sumtools import neville_zero
@@ -258,10 +258,24 @@ def _cmd_gff_verify(args) -> tuple[list, bool]:
     return [rec], rec["pass"]
 
 
+_GFF_SPHERE = (1.0, 1.0, 42.0)   # verify-all's GFF record on the sphere: m0, m1, lam_max
+
+
 def _cmd_verify_all(args) -> tuple[list, bool]:
-    results = []
     surfaces = ["sphere:R=1", "torus:L1=1,L2=1", "torus:L1=1,L2=2"]
     models = [parse_surface(s) for s in surfaces]
+    # the GFF draw runs on the helper threads while the deterministic records
+    # are built; the GFF record's measure_estimates call finishes it
+    cancel_gff = _prefetch(models[0], *_GFF_SPHERE, args.samples, args.seed,
+                           mode=0, threads=args.threads)
+    try:
+        return _verify_all_records(args, models)
+    finally:
+        cancel_gff()
+
+
+def _verify_all_records(args, models) -> tuple[list, bool]:
+    results = []
 
     # determinant mass-shift identity across the acceptance grid
     for model in models:
@@ -316,7 +330,7 @@ def _cmd_verify_all(args) -> tuple[list, bool]:
     results.append(verify_massless(sphere, 1.0).to_dict())
 
     # GFF measure identity
-    results.append(_gff_record(sphere, 1.0, 1.0, 42.0, args.samples, args.seed,
+    results.append(_gff_record(sphere, *_GFF_SPHERE, args.samples, args.seed,
                                args.threads))
 
     ok = all(r.get("pass", True) for r in results)
@@ -336,7 +350,19 @@ _DISPATCH = {
 }
 
 
+def _default_threads() -> int:
+    env = os.environ.get("ZETASURF_THREADS")
+    if env is None:
+        return os.cpu_count() or 1
+    try:
+        return int(env)
+    except ValueError:
+        raise _UsageError(f"ZETASURF_THREADS (the --threads default) must be an "
+                          f"integer, got {env!r}") from None
+
+
 def _build_parser() -> _Parser:
+    threads = _default_threads()
     parser = _Parser(prog="zetasurf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
@@ -352,9 +378,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--samples", type=int, default=1000000)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("ZETASURF_THREADS",
-                                                  os.cpu_count() or 1)))
+        p.add_argument("--threads", type=int, default=threads)
         if name == "heat-trace":
             p.add_argument("--t", type=float, action="append", default=None)
         if name == "gff-verify":
@@ -391,9 +415,8 @@ def _validate_config(args) -> None:
 
 def main(argv=None) -> int:
     t0 = time.perf_counter()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

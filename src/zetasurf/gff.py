@@ -25,12 +25,20 @@ Wick functionals need whole fields.
 Reproducibility contract: chunk c of the samples draws from an SFC64
 generator seeded by SeedSequence((seed, c)), and chunk statistics are reduced
 in chunk order, so results are bit-identical for a fixed (seed, chunk size)
-regardless of how many workers evaluate the chunks.  Within a chunk the
-Monte Carlo stream holds one contiguous standard_gamma(mult_l/2) draw of the
-chunk's size per spectral line, in line order (G_l is twice it), and then the
-measured mode's Beta shares, so the identity estimate does not depend on the
-measured mode and `measure_estimates` equals its two separate calls bit for
-bit.  `sample_fields` draws the chunk's normals from the same generator.
+regardless of how many threads draw the chunks.  Within a chunk the Monte
+Carlo stream holds one contiguous draw of the chunk's size per spectral line,
+in line order: standard_normal on a line of multiplicity 1 (G_l is its
+square), standard_gamma(mult_l/2) on any other line (G_l is twice it); and
+then the measured mode's Beta shares, so the identity estimate does not
+depend on the measured mode and `measure_estimates` equals its two separate
+calls bit for bit.  `sample_fields` draws the chunk's normals from the same
+generator.
+
+Threads: with `threads` = N the chunks are claimed in index order, under a
+lock, by whichever of N threads is free: N - 1 helper threads and the calling
+thread, which then joins the helpers and reduces.  verify-all starts its
+sphere record's draw this way before its deterministic records, and the
+final call with the same arguments finishes it.
 
 The identity's target is `det2`'s truncated log, the one per-line sum of
 mult_l (log1p x_l - x_l).  The weights are summed as w e^{-shift}, with shift
@@ -41,8 +49,8 @@ float range.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from threading import Lock, Thread
 
 import numpy as np
 
@@ -157,13 +165,18 @@ def _chunk_plan(n: int, chunk_size: int):
 def _measure_chunk_stats(m0sq, m1sq, lams, mults, seed, idx, size, line):
     rng = _chunk_rng(seed, idx)
     var = 1.0 / (m0sq + lams)
-    # sum_l var_l G_l with G_l = 2 Gamma(mult_l/2) ~ chi^2_mult: one contiguous
-    # draw per spectral line, in line order, added in that order
+    # sum_l var_l G_l with G_l ~ chi^2_mult: one contiguous draw per spectral
+    # line, in line order, added in that order
     acc = np.zeros(size)
     buf = np.empty(size)
     for j in range(lams.size):
-        rng.standard_gamma(0.5 * mults[j], size=size, out=buf)
-        buf *= 2.0 * var[j]
+        if mults[j] == 1:
+            rng.standard_normal(size=size, out=buf)     # G = Z^2
+            buf *= buf
+            buf *= var[j]
+        else:
+            rng.standard_gamma(0.5 * mults[j], size=size, out=buf)  # G = 2 Gamma(mult/2)
+            buf *= 2.0 * var[j]
         acc += buf
         if j == line:
             phi2 = buf.copy()
@@ -187,21 +200,105 @@ def _measure_chunk_stats(m0sq, m1sq, lams, mults, seed, idx, size, line):
     }
 
 
-def _collect_stats(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode):
+class _ChunkRun:
+    """The chunks of one pass, claimed in index order under a lock by
+    whichever thread is free: min(threads, chunks) - 1 helpers, started at
+    once, and the thread that calls `finish`.  The first exception stops
+    further claims and is raised by `finish` once every helper is joined."""
+
+    def __init__(self, work, plan, threads):
+        self._work, self._plan = work, plan
+        self._stats = [None] * len(plan)
+        self._next = 0
+        self._stop = False
+        self._error = None
+        self._lock = Lock()
+        self._helpers = [Thread(target=self._drain, daemon=True)
+                         for _ in range(min(threads or 1, len(plan)) - 1)]
+        for helper in self._helpers:
+            helper.start()
+
+    def _claim(self):
+        with self._lock:
+            if self._stop or self._next == len(self._plan):
+                return None
+            self._next += 1
+            return self._next - 1
+
+    def _drain(self):
+        try:
+            while (i := self._claim()) is not None:
+                self._stats[i] = self._work(self._plan[i])
+        except BaseException as exc:
+            with self._lock:
+                self._stop = True
+                if self._error is None:
+                    self._error = exc
+
+    def cancel(self):
+        """Stop further claims and join the helpers."""
+        with self._lock:
+            self._stop = True
+        for helper in self._helpers:
+            helper.join()
+
+    def finish(self):
+        """Draw what is left, join the helpers and return the chunk stats in
+        chunk order."""
+        self._drain()
+        for helper in self._helpers:
+            helper.join()
+        if self._error is not None:
+            raise self._error
+        return self._stats
+
+
+# runs started ahead of their measure_estimates call, by its full argument key
+_PENDING: dict[tuple, tuple[float, _ChunkRun]] = {}
+
+
+def _start(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode):
+    """Check the arguments, build the spectrum and start drawing the chunks;
+    returns the measured mode's eigenvalue and the run."""
+    if m0 <= 0:
+        raise ValueError("m0 must be positive")
+    if m1 < 0:
+        raise ValueError("m1 must be >= 0")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     m0sq, m1sq = m0 * m0, m1 * m1
     lams, mults = _checked_spectrum(model, lam_max, min(chunk_size, n), per_line=True)
     ends = np.cumsum(mults)
     if not 0 <= mode < int(ends[-1]):
         raise ValueError(f"mode must be in [0, {int(ends[-1])})")
     line = int(np.searchsorted(ends, mode, side="right"))
-    plan = _chunk_plan(n, chunk_size)
-    worker = lambda item: _measure_chunk_stats(
+    work = lambda item: _measure_chunk_stats(
         m0sq, m1sq, lams, mults, seed, item[0], item[1], line)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            stats = list(pool.map(worker, plan))
-    else:
-        stats = [worker(item) for item in plan]
+    return float(lams[line]), _ChunkRun(work, _chunk_plan(n, chunk_size), threads)
+
+
+def _prefetch(model: SurfaceModel, m0: float, m1: float, lam_max: float, n: int,
+              seed: int, mode: int = 0, chunk_size: int = 65536,
+              threads: int | None = None):
+    """Start the draw of `measure_estimates` with the same arguments now, on
+    its helper threads; that call joins in and finishes it.  Returns a
+    function that stops the run and drops it if that call has not taken it."""
+    key = (model, m0, m1, lam_max, n, seed, chunk_size, threads, mode)
+    pending = _start(*key)
+    _PENDING[key] = pending
+
+    def cancel():
+        if _PENDING.get(key) is pending:
+            del _PENDING[key]
+        pending[1].cancel()
+
+    return cancel
+
+
+def _collect_stats(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode):
+    key = (model, m0, m1, lam_max, n, seed, chunk_size, threads, mode)
+    lam_mode, run = _PENDING.pop(key, None) or _start(*key)
+    stats = run.finish()
     big = max(st["shift"] for st in stats)
     scale1 = [math.exp(st["shift"] - big) for st in stats]
     scale2 = [math.exp(2.0 * (st["shift"] - big)) for st in stats]
@@ -212,7 +309,7 @@ def _collect_stats(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode):
         "a2": math.fsum(c * st["s_a2"] for c, st in zip(scale2, stats)),
         "ab": math.fsum(c * st["s_ab"] for c, st in zip(scale2, stats)),
     }
-    return float(lams[line]), big, sums
+    return lam_mode, big, sums
 
 
 def _unscaled(x: float, shift: float) -> float:
@@ -225,12 +322,6 @@ def _unscaled(x: float, shift: float) -> float:
 
 def _estimates(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode):
     """Both Monte Carlo estimates from one pass over the (seed, chunk) stream."""
-    if m0 <= 0:
-        raise ValueError("m0 must be positive")
-    if m1 < 0:
-        raise ValueError("m1 must be >= 0")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     lam_mode, shift, sums = _collect_stats(model, m0, m1, lam_max, n, seed,
                                            chunk_size, threads, mode=mode)
     # E[exp(-m1^2 W_C / 2)] against the exact truncated product, compared in

@@ -152,16 +152,16 @@ def test_a9_massless_background_prefactor():
 def test_a10_determinism(capsys, tmp_path):
     argv = ["verify-all", "--seed", "1", "--samples", "200000"]
     outs = []
-    for i, threads in enumerate(("2", "1")):
+    for i, threads in enumerate(("2", "1", "3")):
         path = tmp_path / f"run{i}.json"
         code = cli_main(argv + ["--threads", threads, "--out", str(path)])
         assert code == 0
         text = path.read_text()
         outs.append(re.sub(r'^\s*"(runtime_ms|timestamp|threads)":.*$', "", text, flags=re.M))
-    ok = outs[0] == outs[1]
+    ok = outs[0] == outs[1] == outs[2]
     report = json.loads((tmp_path / "run0.json").read_text())
     with capsys.disabled():
         _report("A10", ok,
-                f"verify-all byte-identical at --threads 2 and 1 modulo timestamp fields; "
+                f"verify-all byte-identical at --threads 2, 1 and 3 modulo timestamp fields; "
                 f"{len(report['results'])} checks, overall pass={report['pass']}")
     assert report["pass"] is True

@@ -1,11 +1,12 @@
 import json
 import math
 import re
+import threading
 import tracemalloc
 
 import pytest
 
-from zetasurf import parse_surface, verify_anomaly
+from zetasurf import cli, gff, parse_surface, verify_anomaly
 from zetasurf.cli import main
 
 
@@ -216,3 +217,27 @@ def test_verify_all_anomaly_rows_are_verify_anomaly_reports(capsys):
         assert (row["rel_residual"], row["error_budget"], row["pass"]) == (
             rep.rel_residual, rep.error_budget, rep.passed)
         assert row["budget_breakdown"] == rep.budget_breakdown
+
+
+def test_threads_env_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("ZETASURF_THREADS", "abc")
+    code, out, err = _run(capsys, "det-zeta", "--surface", "sphere:R=1", "--m0", "1")
+    assert code == 1 and out == ""
+    assert "ZETASURF_THREADS" in err and "--threads" in err
+    monkeypatch.setenv("ZETASURF_THREADS", "0")
+    code, _, err = _run(capsys, "det-zeta", "--surface", "sphere:R=1", "--m0", "1")
+    assert code == 1 and "--threads" in err
+
+
+def test_verify_all_failure_cancels_the_gff_draw(capsys, monkeypatch):
+    # a record before the GFF one raises: the draw started at the top of
+    # verify-all is stopped, its helpers joined and its entry dropped
+    def broken(*args, **kwargs):
+        raise ValueError("broken massless record")
+
+    monkeypatch.setattr(cli, "verify_massless", broken)
+    baseline = threading.active_count()
+    code, _, err = _run(capsys, "verify-all", "--samples", "1000000", "--threads", "3")
+    assert code == 1 and "broken massless record" in err
+    assert not gff._PENDING
+    assert threading.active_count() == baseline

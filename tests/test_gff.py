@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from zetasurf import (FieldSample, cf_mean, det2, eigen_arrays, make_surface,
                       measure_estimates, reweighted_mode_variance, sample_fields,
                       verify_measure_identity, wick_mass_term)
+from zetasurf import gff
 from zetasurf.gff import _chunk_rng, _measure_chunk_stats
 
 SPHERE = make_surface("sphere", R=1)
@@ -138,19 +140,21 @@ def test_line_level_sampler_statistics(model, m0, m1, mode):
 
 def _reference_chunk_stats(m0sq, m1sq, lams, mults, seed, idx, size, line):
     """The documented stream, rebuilt: a fresh (seed, chunk) generator, one
-    chi^2_mult = 2 Gamma(mult/2) draw per line in line order, then the
-    measured mode's Beta share of its line."""
+    chi^2_mult draw per line in line order (Z^2 on a mult-1 line, else
+    2 Gamma(mult/2)), then the measured mode's Beta share of its line."""
     rng = _chunk_rng(seed, idx)
     var = 1.0 / (m0sq + lams)
-    gammas = [rng.standard_gamma(0.5 * m, size=size) for m in mults]
+    terms = [rng.standard_normal(size) ** 2 * v if m == 1
+             else rng.standard_gamma(0.5 * m, size=size) * (2.0 * v)
+             for m, v in zip(mults, var)]
     share = rng.beta(0.5, 0.5 * (mults[line] - 1.0), size=size) if mults[line] > 1 else 1.0
     total = np.zeros(size)
-    for g, v in zip(gammas, var):
-        total = total + g * (2.0 * v)
+    for t in terms:
+        total = total + t
     logw = (total - np.sum(mults * var)) * (-0.5 * m1sq)
     shift = float(np.max(logw))
     e = np.exp(logw - shift)
-    a = gammas[line] * (2.0 * var[line]) * share * e
+    a = terms[line] * share * e
     return {"shift": shift, "s_w": float(np.sum(e)), "s_w2": float(np.sum(e * e)),
             "s_a": float(np.sum(a)), "s_a2": float(np.sum(a * a)),
             "s_ab": float(np.sum(a * e))}
@@ -163,21 +167,122 @@ def test_chunk_stats_follow_the_documented_stream(line):
     assert _measure_chunk_stats(*args) == _reference_chunk_stats(*args)
 
 
-def test_measured_mode_has_chi2_1_moments_in_degenerate_line():
-    # m1 = 0 makes every weight 1, so s_a and s_a2 sum phi^2 and phi^4 of
-    # mode 9, the first of the mult-7 line: phi^2/var must be chi^2_1, with
-    # mean 1 (variance 2) and E[chi^4] = 3 (variance 105 - 9 = 96)
+def _assert_chi2_1_moments(line):
+    # m1 = 0 makes every weight 1, so s_a and s_a2 sum phi^2 and phi^4 of the
+    # measured mode: phi^2/var must be chi^2_1, with mean 1 (variance 2) and
+    # E[chi^4] = 3 (variance 105 - 9 = 96)
     lams, mults = eigen_arrays(SPHERE, 42.0)
-    n, var = 200000, 1.0 / (1.0 + lams[3])
-    st = _measure_chunk_stats(1.0, 0.0, lams, mults, 1, 0, n, 3)
+    n, var = 200000, 1.0 / (1.0 + lams[line])
+    st = _measure_chunk_stats(1.0, 0.0, lams, mults, 1, 0, n, line)
     assert abs(st["s_a"] / n / var - 1.0) < 4.0 * math.sqrt(2.0 / n)
     assert abs(st["s_a2"] / n / var ** 2 - 3.0) < 4.0 * math.sqrt(96.0 / n)
+
+
+def test_measured_mode_has_chi2_1_moments_in_degenerate_line():
+    # mode 9, the first of the mult-7 line: a Beta share of 2 Gamma(7/2)
+    _assert_chi2_1_moments(3)
+
+
+def test_measured_mode_has_chi2_1_moments_alone_on_its_line():
+    # mode 0, alone on its line: a squared normal
+    _assert_chi2_1_moments(0)
 
 
 def test_reweighted_mode_variance_worker_invariance_in_degenerate_line():
     runs = [measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=50000, seed=9, mode=7,
                               chunk_size=8192, threads=t) for t in (1, 2, 4)]
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_prefetched_run_equals_a_cold_call():
+    args = (SPHERE, 1.0, 1.0, 42.0, 50000, 9)
+    kw = dict(mode=2, chunk_size=8192, threads=3)
+    cold = measure_estimates(*args, **kw)
+    cancel = gff._prefetch(*args, **kw)
+    try:
+        assert gff._PENDING
+        assert measure_estimates(*args, **kw) == cold
+        assert not gff._PENDING
+    finally:
+        cancel()
+
+
+def test_cancelled_prefetch_is_dropped_and_joined():
+    baseline = threading.active_count()
+    cancel = gff._prefetch(SPHERE, 1.0, 1.0, 42.0, 200000, 1, chunk_size=4096, threads=3)
+    cancel()
+    assert not gff._PENDING
+    assert threading.active_count() == baseline
+
+
+def test_helper_exception_reaches_the_caller(monkeypatch):
+    real = gff._measure_chunk_stats
+
+    def failing(m0sq, m1sq, lams, mults, seed, idx, size, line):
+        if idx == 5:
+            raise RuntimeError("chunk 5")
+        return real(m0sq, m1sq, lams, mults, seed, idx, size, line)
+
+    monkeypatch.setattr(gff, "_measure_chunk_stats", failing)
+    baseline = threading.active_count()
+    for threads in (1, 3):
+        with pytest.raises(RuntimeError, match="chunk 5"):
+            measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=10000, seed=1,
+                              chunk_size=500, threads=threads)
+        assert threading.active_count() == baseline
+
+
+def test_chunk_claims_under_contention(monkeypatch):
+    # more threads than cores and a short switch interval: every chunk must be
+    # drawn exactly once, and the result must not depend on who drew it
+    args = (SPHERE, 1.0, 1.0, 42.0, 300 * 64, 5)
+    serial = measure_estimates(*args, chunk_size=64, threads=1)
+    real, drawn = gff._measure_chunk_stats, []
+
+    def recorded(m0sq, m1sq, lams, mults, seed, idx, size, line):
+        drawn.append(idx)
+        return real(m0sq, m1sq, lams, mults, seed, idx, size, line)
+
+    monkeypatch.setattr(gff, "_measure_chunk_stats", recorded)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        contended = measure_estimates(*args, chunk_size=64, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(drawn) == list(range(300))
+    assert contended == serial
+
+
+class _RecordedThread:
+    """Stands in for threading.Thread: records each helper and starts none,
+    so the calling thread draws every chunk."""
+    made = []
+
+    def __init__(self, target, daemon):
+        self.made.append(self)
+        self.started = self.joined = False
+
+    def start(self):
+        self.started = True
+
+    def join(self):
+        self.joined = True
+
+
+@pytest.mark.parametrize("threads,n,helpers", [
+    (1, 3000, 0), (2, 3000, 1), (10 ** 6, 3000, 2), (10 ** 6, 1000, 0)])
+def test_helpers_capped_by_chunks(monkeypatch, threads, n, helpers):
+    # chunks of 1000: 3 chunks, or 1
+    monkeypatch.setattr(gff, "Thread", _RecordedThread)
+    monkeypatch.setattr(_RecordedThread, "made", [])
+    got = measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=n, seed=1, chunk_size=1000,
+                            threads=threads)
+    assert len(_RecordedThread.made) == helpers
+    assert all(t.started and t.joined for t in _RecordedThread.made)
+    monkeypatch.undo()
+    assert got == measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=n, seed=1,
+                                    chunk_size=1000, threads=1)
 
 
 def test_mode_range_checked_at_both_ends():
