@@ -8,9 +8,7 @@ __version__ = "0.1.0"
 from .anomaly import (AnomalyReport, MasslessReport, mass_shift_prefactor,
                       residue_phase_space, verify_anomaly, verify_massless)
 from .bessel import k0
-from .gff import (FieldSample, MCEstimate, measure_estimates,
-                  reweighted_mode_variance, sample_fields,
-                  verify_measure_identity, wick_mass_term)
+from .gff import MCEstimate, measure_estimates
 from .green import Det2Result, FinitePart, cf_mean, det2, gamma0, torus_cf_image_sum
 from .heat import HeatCoeffs, HeatIntegral, heat_coeffs, heat_integral, heat_trace
 from .surfaces import SurfaceModel, eigen_arrays, make_surface, parse_surface
@@ -27,6 +25,5 @@ __all__ = [
     "torus_cf_image_sum", "k0",
     "AnomalyReport", "MasslessReport", "verify_anomaly",
     "mass_shift_prefactor", "residue_phase_space", "verify_massless",
-    "FieldSample", "MCEstimate", "sample_fields", "wick_mass_term",
-    "verify_measure_identity", "reweighted_mode_variance", "measure_estimates",
+    "MCEstimate", "measure_estimates",
 ]

@@ -409,6 +409,8 @@ def _validate_config(args) -> None:
         raise ValueError("--lambda-max must be positive")
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
 

@@ -1,5 +1,5 @@
-"""Truncated Gaussian free field in mode space and Monte Carlo verification
-of the change-of-mass measure identity.
+"""Truncated Gaussian free field and Monte Carlo verification of the
+change-of-mass measure identity.
 
 A field truncated at lambda <= Lambda is a vector of independent centered
 Gaussians, one coefficient per eigenfunction, with Var(phi_k) = 1/(m^2 +
@@ -10,7 +10,8 @@ lambda_k).  At fixed truncation the reweighting identity
 
 with W_C = sum_k (phi_k^2 - 1/(m0^2 + lambda_k)) is an exact
 finite-dimensional Gaussian integral, so the Monte Carlo estimate must agree
-with the closed-form product within statistical error.
+with the closed-form product within statistical error.  (The C0 ordering
+adds the constant A * C_f(m0) to W_C, so it needs no sample of its own.)
 
 The Monte Carlo estimates see a sample only through W_C and one mode's
 phi^2, so they draw sufficient statistics instead of fields.  The modes of a
@@ -19,20 +20,17 @@ sum_{k in l} phi_k^2 = var_l G_l with G_l ~ chi^2_{mult_l}, independent
 across lines, and W_C = sum_l var_l (G_l - mult_l): one chi^2 draw per line
 instead of one normal per mode.  The measured mode's phi^2 is var_l G_l B
 with B ~ Beta(1/2, (mult_l - 1)/2) independent of G_l (B = 1 on a line of
-multiplicity 1).  `sample_fields` still draws one normal per mode, since the
-Wick functionals need whole fields.
+multiplicity 1).
 
-Reproducibility contract: chunk c of the samples draws from an SFC64
-generator seeded by SeedSequence((seed, c)), and chunk statistics are reduced
-in chunk order, so results are bit-identical for a fixed (seed, chunk size)
-regardless of how many threads draw the chunks.  Within a chunk the Monte
-Carlo stream holds one contiguous draw of the chunk's size per spectral line,
+Reproducibility contract: the samples are drawn in chunks of _CHUNK, chunk c
+from an SFC64 generator seeded by SeedSequence((seed, c)), and chunk
+statistics are reduced in chunk order, so results are bit-identical for a
+fixed seed regardless of how many threads draw the chunks.  Within a chunk
+the stream holds one contiguous draw of the chunk's size per spectral line,
 in line order: standard_normal on a line of multiplicity 1 (G_l is its
 square), standard_gamma(mult_l/2) on any other line (G_l is twice it); and
 then the measured mode's Beta shares, so the identity estimate does not
-depend on the measured mode and `measure_estimates` equals its two separate
-calls bit for bit.  `sample_fields` draws the chunk's normals from the same
-generator.
+depend on the measured mode.
 
 Threads: with `threads` = N the chunks are claimed in index order, under a
 lock, by whichever of N threads is free: N - 1 helper threads and the calling
@@ -55,29 +53,13 @@ from threading import Lock, Thread
 import numpy as np
 
 from .anomaly import _exp
-from .green import cf_mean, det2
-from .sumtools import stable_sum
+from .green import det2
 from .surfaces import _MAX_SPECTRUM_POINTS, SurfaceModel, _spectrum_size, eigen_arrays
 
-__all__ = [
-    "FieldSample",
-    "MCEstimate",
-    "sample_fields",
-    "wick_mass_term",
-    "verify_measure_identity",
-    "reweighted_mode_variance",
-    "measure_estimates",
-]
+__all__ = ["MCEstimate", "measure_estimates"]
 
-
-@dataclass(frozen=True)
-class FieldSample:
-    coeffs: np.ndarray        # one Gaussian coefficient per mode
-    lambdas: np.ndarray       # eigenvalue of each mode (multiplicity-expanded)
-    msq: float
-    model: SurfaceModel
-    seed: int
-    stream_index: int         # chunk index within the (seed)-keyed stream
+# samples per chunk: the unit of the (seed, chunk) stream and of thread work
+_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -89,15 +71,14 @@ class MCEstimate:
     z_score: float
 
 
-def _checked_spectrum(model: SurfaceModel, lam_max: float, rows: int,
-                     per_line: bool) -> tuple[np.ndarray, np.ndarray]:
+def _checked_spectrum(model: SurfaceModel, lam_max: float,
+                      rows: int) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, multiplicities) of the lines, refused before anything is
-    built unless one chunk's draw fits the budget: `rows` x lines if per_line,
-    else `rows` x modes, which also bounds the modes of a whole field.  The
-    line-level draw allocates nothing per mode, so only `eigen_arrays`' own
-    budget bounds its spectrum."""
+    built unless one chunk's draw, `rows` x lines, fits the budget.  The draw
+    allocates nothing per mode, so only `eigen_arrays`' own budget bounds its
+    spectrum."""
     lines, modes = _spectrum_size(model, max(lam_max, 0.0))  # eigen_arrays rejects lam_max < 0
-    draw = rows * (lines if per_line else modes)
+    draw = rows * lines
     if draw > _MAX_SPECTRUM_POINTS:
         raise ValueError(
             f"lam_max={lam_max:g} needs {draw:.2g} draws per chunk ({rows} rows over "
@@ -111,55 +92,6 @@ def _checked_spectrum(model: SurfaceModel, lam_max: float, rows: int,
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, chunk_index))))
-
-
-def sample_fields(model: SurfaceModel, msq: float, lam_max: float, seed: int, n: int,
-                  chunk_size: int = 65536):
-    """Yield n independent truncated-field samples (deterministic in seed)."""
-    if msq <= 0:
-        raise ValueError("msq must be positive (the zero mode has infinite "
-                         "variance in the massless measure)")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lams, mults = _checked_spectrum(model, lam_max, min(chunk_size, n), per_line=False)
-    lambdas = np.repeat(lams, mults.astype(int))
-    std = 1.0 / np.sqrt(msq + lambdas)
-    produced = 0
-    chunk_index = 0
-    while produced < n:
-        take = min(chunk_size, n - produced)
-        rng = _chunk_rng(seed, chunk_index)
-        block = rng.standard_normal((take, lambdas.size)) * std
-        for row in block:
-            yield FieldSample(coeffs=row, lambdas=lambdas, msq=msq, model=model,
-                              seed=seed, stream_index=chunk_index)
-        produced += take
-        chunk_index += 1
-
-
-def wick_mass_term(sample: FieldSample, m0sq: float, ordering: str = "C") -> float:
-    """Wick-ordered squared field, summed over the truncated modes.
-
-    ordering "C": subtract the per-mode variance 1/(m0^2 + lambda).
-    ordering "C0": additionally add A * C_f(m0), the diagonal finite part
-    times the area (the log-kernel ordering constant).
-    """
-    if ordering not in ("C", "C0"):
-        raise ValueError("ordering must be 'C' or 'C0'")
-    if m0sq <= 0:
-        raise ValueError("m0sq must be positive")
-    w = stable_sum(sample.coeffs ** 2 - 1.0 / (m0sq + sample.lambdas))
-    if ordering == "C0":
-        w += sample.model.area * cf_mean(sample.model, m0sq).cf_mean
-    return w
-
-
-# ----------------------------------------------------------- MC verification
-
-def _chunk_plan(n: int, chunk_size: int):
-    full, rem = divmod(n, chunk_size)
-    sizes = [chunk_size] * full + ([rem] if rem else [])
-    return list(enumerate(sizes))
 
 
 def _measure_chunk_stats(m0sq, m1sq, lams, mults, seed, idx, size, line):
@@ -206,21 +138,21 @@ class _ChunkRun:
     once, and the thread that calls `finish`.  The first exception stops
     further claims and is raised by `finish` once every helper is joined."""
 
-    def __init__(self, work, plan, threads):
-        self._work, self._plan = work, plan
-        self._stats = [None] * len(plan)
+    def __init__(self, work, chunks, threads):
+        self._work, self._chunks = work, chunks
+        self._stats = [None] * chunks
         self._next = 0
         self._stop = False
         self._error = None
         self._lock = Lock()
         self._helpers = [Thread(target=self._drain, daemon=True)
-                         for _ in range(min(threads or 1, len(plan)) - 1)]
+                         for _ in range(min(threads or 1, chunks) - 1)]
         for helper in self._helpers:
             helper.start()
 
     def _claim(self):
         with self._lock:
-            if self._stop or self._next == len(self._plan):
+            if self._stop or self._next == self._chunks:
                 return None
             self._next += 1
             return self._next - 1
@@ -228,7 +160,7 @@ class _ChunkRun:
     def _drain(self):
         try:
             while (i := self._claim()) is not None:
-                self._stats[i] = self._work(self._plan[i])
+                self._stats[i] = self._work(i)
         except BaseException as exc:
             with self._lock:
                 self._stop = True
@@ -257,7 +189,7 @@ class _ChunkRun:
 _PENDING: dict[tuple, tuple[float, _ChunkRun]] = {}
 
 
-def _start(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode):
+def _start(model, m0, m1, lam_max, n, seed, threads, mode):
     """Check the arguments, build the spectrum and start drawing the chunks;
     returns the measured mode's eigenvalue and the run."""
     if m0 <= 0:
@@ -266,24 +198,25 @@ def _start(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode):
         raise ValueError("m1 must be >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
-    m0sq, m1sq = m0 * m0, m1 * m1
-    lams, mults = _checked_spectrum(model, lam_max, min(chunk_size, n), per_line=True)
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    m0sq, m1sq, chunk = m0 * m0, m1 * m1, _CHUNK
+    lams, mults = _checked_spectrum(model, lam_max, min(chunk, n))
     ends = np.cumsum(mults)
     if not 0 <= mode < int(ends[-1]):
         raise ValueError(f"mode must be in [0, {int(ends[-1])})")
     line = int(np.searchsorted(ends, mode, side="right"))
-    work = lambda item: _measure_chunk_stats(
-        m0sq, m1sq, lams, mults, seed, item[0], item[1], line)
-    return float(lams[line]), _ChunkRun(work, _chunk_plan(n, chunk_size), threads)
+    work = lambda i: _measure_chunk_stats(
+        m0sq, m1sq, lams, mults, seed, i, min(chunk, n - i * chunk), line)
+    return float(lams[line]), _ChunkRun(work, (n + chunk - 1) // chunk, threads)
 
 
 def _prefetch(model: SurfaceModel, m0: float, m1: float, lam_max: float, n: int,
-              seed: int, mode: int = 0, chunk_size: int = 65536,
-              threads: int | None = None):
+              seed: int, mode: int = 0, threads: int | None = None):
     """Start the draw of `measure_estimates` with the same arguments now, on
     its helper threads; that call joins in and finishes it.  Returns a
     function that stops the run and drops it if that call has not taken it."""
-    key = (model, m0, m1, lam_max, n, seed, chunk_size, threads, mode)
+    key = (model, m0, m1, lam_max, n, seed, threads, mode)
     pending = _start(*key)
     _PENDING[key] = pending
 
@@ -295,23 +228,6 @@ def _prefetch(model: SurfaceModel, m0: float, m1: float, lam_max: float, n: int,
     return cancel
 
 
-def _collect_stats(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode):
-    key = (model, m0, m1, lam_max, n, seed, chunk_size, threads, mode)
-    lam_mode, run = _PENDING.pop(key, None) or _start(*key)
-    stats = run.finish()
-    big = max(st["shift"] for st in stats)
-    scale1 = [math.exp(st["shift"] - big) for st in stats]
-    scale2 = [math.exp(2.0 * (st["shift"] - big)) for st in stats]
-    sums = {
-        "w": math.fsum(c * st["s_w"] for c, st in zip(scale1, stats)),
-        "w2": math.fsum(c * st["s_w2"] for c, st in zip(scale2, stats)),
-        "a": math.fsum(c * st["s_a"] for c, st in zip(scale1, stats)),
-        "a2": math.fsum(c * st["s_a2"] for c, st in zip(scale2, stats)),
-        "ab": math.fsum(c * st["s_ab"] for c, st in zip(scale2, stats)),
-    }
-    return lam_mode, big, sums
-
-
 def _unscaled(x: float, shift: float) -> float:
     """x e^shift for x >= 0, with inf only where it exceeds float range."""
     try:
@@ -320,13 +236,29 @@ def _unscaled(x: float, shift: float) -> float:
         return _exp(math.log(x) + shift) if x > 0.0 else 0.0
 
 
-def _estimates(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode):
-    """Both Monte Carlo estimates from one pass over the (seed, chunk) stream."""
-    lam_mode, shift, sums = _collect_stats(model, m0, m1, lam_max, n, seed,
-                                           chunk_size, threads, mode=mode)
-    # E[exp(-m1^2 W_C / 2)] against the exact truncated product, compared in
-    # the frame of the sums, w e^{-shift}, where the mean is at most 1 and its
-    # error cannot overflow; e^{-shift} cancels in z.
+def measure_estimates(model: SurfaceModel, m0: float, m1: float, lam_max: float,
+                      n: int, seed: int, mode: int = 0,
+                      threads: int | None = None) -> tuple[MCEstimate, MCEstimate]:
+    """From one pass over the (seed, chunk) stream: the MC estimate of
+    E[exp(-m1^2 W_C / 2)] against the exact truncated product, and the
+    reweighted second moment E[w phi_mode^2]/E[w] against
+    1/(m0^2 + m1^2 + lambda_mode)."""
+    key = (model, m0, m1, lam_max, n, seed, threads, mode)
+    lam_mode, run = _PENDING.pop(key, None) or _start(*key)
+    stats = run.finish()
+    shift = max(st["shift"] for st in stats)
+    scale1 = [math.exp(st["shift"] - shift) for st in stats]
+    scale2 = [math.exp(2.0 * (st["shift"] - shift)) for st in stats]
+    sums = {
+        "w": math.fsum(c * st["s_w"] for c, st in zip(scale1, stats)),
+        "w2": math.fsum(c * st["s_w2"] for c, st in zip(scale2, stats)),
+        "a": math.fsum(c * st["s_a"] for c, st in zip(scale1, stats)),
+        "a2": math.fsum(c * st["s_a2"] for c, st in zip(scale2, stats)),
+        "ab": math.fsum(c * st["s_ab"] for c, st in zip(scale2, stats)),
+    }
+
+    # the identity, compared in the frame of the sums, w e^{-shift}, where the
+    # mean is at most 1 and its error cannot overflow; e^{-shift} cancels in z
     log_target = -0.5 * det2(model, m0 * m0, m1 * m1, lam_max=lam_max).truncated_log
     mean = sums["w"] / n
     var = max(0.0, (sums["w2"] - n * mean * mean) / max(1, n - 1))
@@ -336,40 +268,16 @@ def _estimates(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode):
     identity = MCEstimate(mean=_unscaled(mean, shift), stderr=_unscaled(stderr, shift),
                           n_samples=n, target=_exp(log_target), z_score=z)
 
-    # E[w phi_mode^2]/E[w] against 1/(m0^2 + m1^2 + lambda)
-    mu_b = sums["w"] / n
+    # the reweighted second moment: delta method on the ratio of means (the
+    # e^shift scales cancel)
     mu_a = sums["a"] / n
-    ratio = mu_a / mu_b
-    # delta method on the ratio of means (the e^shift scales cancel)
+    ratio = mu_a / mean
     var_a = max(0.0, sums["a2"] / n - mu_a ** 2)
-    var_b = max(0.0, sums["w2"] / n - mu_b ** 2)
-    cov = sums["ab"] / n - mu_a * mu_b
-    var_r = (var_a - 2.0 * ratio * cov + ratio ** 2 * var_b) / (mu_b ** 2)
+    var_b = max(0.0, sums["w2"] / n - mean ** 2)
+    cov = sums["ab"] / n - mu_a * mean
+    var_r = (var_a - 2.0 * ratio * cov + ratio ** 2 * var_b) / (mean ** 2)
     stderr = math.sqrt(max(0.0, var_r) / n)
     target = 1.0 / (m0 * m0 + m1 * m1 + lam_mode)
     z = 0.0 if stderr == 0.0 else (ratio - target) / stderr
-    variance = MCEstimate(mean=ratio, stderr=stderr, n_samples=n, target=target, z_score=z)
-    return identity, variance
-
-
-def verify_measure_identity(model: SurfaceModel, m0: float, m1: float, lam_max: float,
-                            n: int, seed: int, chunk_size: int = 65536,
-                            threads: int | None = None) -> MCEstimate:
-    """MC estimate of E[exp(-m1^2 W_C / 2)] against the exact truncated product."""
-    return _estimates(model, m0, m1, lam_max, n, seed, chunk_size, threads, 0)[0]
-
-
-def reweighted_mode_variance(model: SurfaceModel, m0: float, m1: float, lam_max: float,
-                             n: int, seed: int, mode: int = 0,
-                             chunk_size: int = 65536,
-                             threads: int | None = None) -> MCEstimate:
-    """Reweighted second moment E[w phi_mode^2]/E[w] vs 1/(m0^2 + m1^2 + lambda)."""
-    return _estimates(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode)[1]
-
-
-def measure_estimates(model: SurfaceModel, m0: float, m1: float, lam_max: float,
-                      n: int, seed: int, mode: int = 0, chunk_size: int = 65536,
-                      threads: int | None = None) -> tuple[MCEstimate, MCEstimate]:
-    """`verify_measure_identity` and `reweighted_mode_variance` from a single
-    pass over the sample stream; each equals its separate call bit for bit."""
-    return _estimates(model, m0, m1, lam_max, n, seed, chunk_size, threads, mode)
+    return identity, MCEstimate(mean=ratio, stderr=stderr, n_samples=n, target=target,
+                                z_score=z)

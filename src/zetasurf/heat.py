@@ -243,16 +243,13 @@ def _theta(model: SurfaceModel, msq: float, t: np.ndarray) -> np.ndarray:
     return np.exp(-msq * t) * _theta_laplace(model, t)
 
 
-def heat_trace(model: SurfaceModel, msq: float, t, rel_tol: float = 1e-10):
+def heat_trace(model: SurfaceModel, msq: float, t):
     """theta_E(t) = sum_k mult_k exp(-t (lambda_k + m^2)); scalar or array t.
 
-    Truncation of the spectral sum is fixed at the e^-52 relative floor,
-    far below any admissible rel_tol (which must lie in (0, 1e-3]).
+    Truncation of the spectral sum is fixed at the e^-52 relative floor.
     """
     if msq < 0:
         raise ValueError("msq must be >= 0")
-    if not (0.0 < rel_tol <= 1e-3):
-        raise ValueError("rel_tol must lie in (0, 1e-3]")
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("t must be positive and finite")

@@ -79,6 +79,13 @@ def test_flag_validation_names_flag(capsys):
         assert flag in err and message in err, (argv, err)
 
 
+@pytest.mark.parametrize("command", ["gff-verify", "verify-all"])
+def test_negative_seed_names_its_flag(capsys, command):
+    code, out, err = _run(capsys, command, "--seed", "-1", "--samples", "1000")
+    assert code == 1 and not out
+    assert "--seed" in err and "--lambda-max" not in err
+
+
 def test_det_zeta_massless_stays_valid(capsys):
     # m0 = 0 selects the primed determinant
     code, out, err = _run(capsys, "det-zeta", "--m0", "0")
@@ -241,3 +248,19 @@ def test_verify_all_failure_cancels_the_gff_draw(capsys, monkeypatch):
     assert code == 1 and "broken massless record" in err
     assert not gff._PENDING
     assert threading.active_count() == baseline
+
+
+def test_verify_all_draws_each_gff_chunk_once(capsys, monkeypatch):
+    # the draw started at the top of verify-all is the one its GFF record
+    # finishes: 200000 samples are 4 chunks, each drawn exactly once
+    real, drawn = gff._measure_chunk_stats, []
+
+    def recorded(m0sq, m1sq, lams, mults, seed, idx, size, line):
+        drawn.append(idx)
+        return real(m0sq, m1sq, lams, mults, seed, idx, size, line)
+
+    monkeypatch.setattr(gff, "_measure_chunk_stats", recorded)
+    code, _, err = _run(capsys, "verify-all", "--samples", "200000", "--threads", "2")
+    assert code == 0, err
+    assert sorted(drawn) == [0, 1, 2, 3]
+    assert not gff._PENDING

@@ -6,92 +6,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zetasurf import (FieldSample, cf_mean, det2, eigen_arrays, make_surface,
-                      measure_estimates, reweighted_mode_variance, sample_fields,
-                      verify_measure_identity, wick_mass_term)
+from zetasurf import det2, eigen_arrays, make_surface, measure_estimates
 from zetasurf import gff
 from zetasurf.gff import _chunk_rng, _measure_chunk_stats
 
 SPHERE = make_surface("sphere", R=1)
 
 
-def _collect(model, msq, lam_max, seed, n, **kw):
-    return list(sample_fields(model, msq, lam_max, seed, n, **kw))
-
-
-def test_sampling_is_deterministic():
-    a = _collect(SPHERE, 1.0, 6.0, seed=7, n=5)
-    b = _collect(SPHERE, 1.0, 6.0, seed=7, n=5)
-    for sa, sb in zip(a, b):
-        assert np.array_equal(sa.coeffs, sb.coeffs)
-    c = _collect(SPHERE, 1.0, 6.0, seed=8, n=5)
-    assert not np.array_equal(a[0].coeffs, c[0].coeffs)
-
-
-def test_sampling_chunk_streams():
-    # chunk boundaries change which (seed, chunk) stream a row comes from,
-    # but the first chunk's rows are shared
-    a = _collect(SPHERE, 1.0, 6.0, seed=3, n=6, chunk_size=3)
-    b = _collect(SPHERE, 1.0, 6.0, seed=3, n=3, chunk_size=3)
-    for sa, sb in zip(a[:3], b):
-        assert np.array_equal(sa.coeffs, sb.coeffs)
-    assert a[0].stream_index == 0 and a[5].stream_index == 1
-
-
-def test_mode_count_and_variances():
-    # Lambda = 6 on the unit sphere: lines k = 0, 1, 2 -> 1 + 3 + 5 modes
-    samples = _collect(SPHERE, 1.0, 6.0, seed=11, n=100000, chunk_size=50000)
-    mat = np.stack([s.coeffs for s in samples])
-    assert mat.shape[1] == 9
-    lambdas = samples[0].lambdas
-    var = mat.var(axis=0)
-    for j in range(mat.shape[1]):
-        target = 1.0 / (1.0 + lambdas[j])
-        stderr = math.sqrt(2.0 / mat.shape[0]) * target
-        assert abs(var[j] - target) < 4.0 * stderr
-
-
-def test_sampling_rejects_massless():
-    with pytest.raises(ValueError):
-        _collect(SPHERE, 0.0, 6.0, seed=1, n=1)
-
-
-def test_wick_zero_field_single_mode():
-    sample = FieldSample(coeffs=np.zeros(1), lambdas=np.zeros(1), msq=1.0,
-                         model=SPHERE, seed=0, stream_index=0)
-    assert wick_mass_term(sample, 1.0) == pytest.approx(-1.0, abs=1e-15)
-
-
-def test_wick_mean_vanishes_under_own_measure():
-    samples = _collect(SPHERE, 1.0, 20.0, seed=5, n=20000)
-    vals = np.array([wick_mass_term(s, 1.0) for s in samples])
-    stderr = vals.std() / math.sqrt(len(vals))
-    assert abs(vals.mean()) < 4.0 * stderr
-
-
-def test_wick_orderings_differ_by_area_times_cf():
-    sample = _collect(SPHERE, 1.0, 6.0, seed=2, n=1)[0]
-    w_c = wick_mass_term(sample, 1.0, ordering="C")
-    w_c0 = wick_mass_term(sample, 1.0, ordering="C0")
-    shift = SPHERE.area * cf_mean(SPHERE, 1.0).cf_mean
-    assert w_c0 - w_c == pytest.approx(shift, rel=1e-12)
-    with pytest.raises(ValueError):
-        wick_mass_term(sample, 1.0, ordering="X")
-
-
 def test_measure_identity_trivial_shift():
-    est = verify_measure_identity(SPHERE, 1.0, 0.0, 6.0, n=1000, seed=1)
+    est = measure_estimates(SPHERE, 1.0, 0.0, 6.0, n=1000, seed=1)[0]
     assert est.mean == 1.0 and est.target == 1.0 and est.z_score == 0.0
 
 
 def test_measure_identity_statistics():
-    est = verify_measure_identity(SPHERE, 1.0, 1.0, 42.0, n=200000, seed=1)
+    est = measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=200000, seed=1)[0]
     assert abs(est.z_score) < 3.0
     assert est.stderr > 0.0 and est.n_samples == 200000
 
 
 def test_measure_identity_target_matches_det2_truncation():
-    est = verify_measure_identity(SPHERE, 1.0, 1.0, 42.0, n=100, seed=1)
+    est = measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=100, seed=1)[0]
     d2 = det2(SPHERE, 1.0, 1.0, lam_max=42.0)
     assert est.target == math.exp(-0.5 * d2.truncated_log)
     # against the product over the multiplicity-expanded modes, summed apart
@@ -102,21 +36,24 @@ def test_measure_identity_target_matches_det2_truncation():
 
 
 def test_measure_identity_worker_invariance():
-    a = verify_measure_identity(SPHERE, 1.0, 1.0, 42.0, n=50000, seed=9, threads=1)
-    b = verify_measure_identity(SPHERE, 1.0, 1.0, 42.0, n=50000, seed=9, threads=4)
+    a = measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=50000, seed=9, threads=1)[0]
+    b = measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=50000, seed=9, threads=4)[0]
     assert a.mean == b.mean and a.stderr == b.stderr
 
 
 def test_reweighted_mode_variance():
-    est = reweighted_mode_variance(SPHERE, 1.0, 1.0, 42.0, n=200000, seed=1, mode=0)
+    est = measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=200000, seed=1, mode=0)[1]
     assert est.target == pytest.approx(0.5, rel=1e-15)
     assert abs(est.z_score) < 4.0
 
 
 def test_measure_estimates_match_separate_calls():
-    est, rw = measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=30000, seed=4, mode=2, threads=2)
-    assert est == verify_measure_identity(SPHERE, 1.0, 1.0, 42.0, n=30000, seed=4)
-    assert rw == reweighted_mode_variance(SPHERE, 1.0, 1.0, 42.0, n=30000, seed=4, mode=2)
+    # the identity estimate does not depend on the measured mode: the Beta
+    # shares are drawn after every line, so a call measuring mode 2 (in the
+    # mult-3 line) and one measuring mode 0 (alone on its line) read the same
+    # chi^2 draws
+    est = measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=30000, seed=4, mode=2, threads=2)[0]
+    assert est == measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=30000, seed=4, mode=0)[0]
 
 
 TORUS_1X2 = make_surface("torus", L1=1, L2=2)
@@ -188,15 +125,17 @@ def test_measured_mode_has_chi2_1_moments_alone_on_its_line():
     _assert_chi2_1_moments(0)
 
 
-def test_reweighted_mode_variance_worker_invariance_in_degenerate_line():
-    runs = [measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=50000, seed=9, mode=7,
-                              chunk_size=8192, threads=t) for t in (1, 2, 4)]
+def test_reweighted_mode_variance_worker_invariance_in_degenerate_line(monkeypatch):
+    monkeypatch.setattr(gff, "_CHUNK", 8192)
+    runs = [measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=50000, seed=9, mode=7, threads=t)
+            for t in (1, 2, 4)]
     assert runs[0] == runs[1] == runs[2]
 
 
-def test_prefetched_run_equals_a_cold_call():
+def test_prefetched_run_equals_a_cold_call(monkeypatch):
+    monkeypatch.setattr(gff, "_CHUNK", 8192)
     args = (SPHERE, 1.0, 1.0, 42.0, 50000, 9)
-    kw = dict(mode=2, chunk_size=8192, threads=3)
+    kw = dict(mode=2, threads=3)
     cold = measure_estimates(*args, **kw)
     cancel = gff._prefetch(*args, **kw)
     try:
@@ -207,9 +146,10 @@ def test_prefetched_run_equals_a_cold_call():
         cancel()
 
 
-def test_cancelled_prefetch_is_dropped_and_joined():
+def test_cancelled_prefetch_is_dropped_and_joined(monkeypatch):
+    monkeypatch.setattr(gff, "_CHUNK", 4096)
     baseline = threading.active_count()
-    cancel = gff._prefetch(SPHERE, 1.0, 1.0, 42.0, 200000, 1, chunk_size=4096, threads=3)
+    cancel = gff._prefetch(SPHERE, 1.0, 1.0, 42.0, 200000, 1, threads=3)
     cancel()
     assert not gff._PENDING
     assert threading.active_count() == baseline
@@ -224,19 +164,20 @@ def test_helper_exception_reaches_the_caller(monkeypatch):
         return real(m0sq, m1sq, lams, mults, seed, idx, size, line)
 
     monkeypatch.setattr(gff, "_measure_chunk_stats", failing)
+    monkeypatch.setattr(gff, "_CHUNK", 500)
     baseline = threading.active_count()
     for threads in (1, 3):
         with pytest.raises(RuntimeError, match="chunk 5"):
-            measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=10000, seed=1,
-                              chunk_size=500, threads=threads)
+            measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=10000, seed=1, threads=threads)
         assert threading.active_count() == baseline
 
 
 def test_chunk_claims_under_contention(monkeypatch):
     # more threads than cores and a short switch interval: every chunk must be
     # drawn exactly once, and the result must not depend on who drew it
+    monkeypatch.setattr(gff, "_CHUNK", 64)
     args = (SPHERE, 1.0, 1.0, 42.0, 300 * 64, 5)
-    serial = measure_estimates(*args, chunk_size=64, threads=1)
+    serial = measure_estimates(*args, threads=1)
     real, drawn = gff._measure_chunk_stats, []
 
     def recorded(m0sq, m1sq, lams, mults, seed, idx, size, line):
@@ -247,7 +188,7 @@ def test_chunk_claims_under_contention(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        contended = measure_estimates(*args, chunk_size=64, threads=8)
+        contended = measure_estimates(*args, threads=8)
     finally:
         sys.setswitchinterval(interval)
     assert sorted(drawn) == list(range(300))
@@ -274,37 +215,40 @@ class _RecordedThread:
     (1, 3000, 0), (2, 3000, 1), (10 ** 6, 3000, 2), (10 ** 6, 1000, 0)])
 def test_helpers_capped_by_chunks(monkeypatch, threads, n, helpers):
     # chunks of 1000: 3 chunks, or 1
+    monkeypatch.setattr(gff, "_CHUNK", 1000)
     monkeypatch.setattr(gff, "Thread", _RecordedThread)
     monkeypatch.setattr(_RecordedThread, "made", [])
-    got = measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=n, seed=1, chunk_size=1000,
-                            threads=threads)
+    got = measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=n, seed=1, threads=threads)
     assert len(_RecordedThread.made) == helpers
     assert all(t.started and t.joined for t in _RecordedThread.made)
-    monkeypatch.undo()
-    assert got == measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=n, seed=1,
-                                    chunk_size=1000, threads=1)
+    monkeypatch.setattr(gff, "Thread", threading.Thread)
+    assert got == measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=n, seed=1, threads=1)
 
 
 def test_mode_range_checked_at_both_ends():
     # lambda <= 42 on the unit sphere holds lines k = 0..6, 49 modes
     for bad in (-1, 49):
         with pytest.raises(ValueError, match="mode"):
-            reweighted_mode_variance(SPHERE, 1.0, 1.0, 42.0, n=100, seed=1, mode=bad)
-        with pytest.raises(ValueError, match="mode"):
             measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=100, seed=1, mode=bad)
     for ok in (0, 48):
         assert measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=100, seed=1, mode=ok)[1].stderr > 0
 
 
+def test_negative_seed_refused_before_any_helper_starts(monkeypatch):
+    monkeypatch.setattr(gff, "Thread", _RecordedThread)
+    monkeypatch.setattr(_RecordedThread, "made", [])
+    with pytest.raises(ValueError, match="seed"):
+        measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=200000, seed=-1, threads=4)
+    assert _RecordedThread.made == []
+
+
 def test_oversized_chunk_draw_refused_before_allocating():
-    # the modes fit the budget in both calls, but one chunk's draw does not:
-    # 65536 chi^2 rows over 5001 lines, and 1000 normal rows over 2.5e5 modes
+    # the modes fit the budget, but one chunk's draw does not: 65536 chi^2
+    # rows over 5001 lines
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="draws per chunk"):
-            verify_measure_identity(SPHERE, 1.0, 1.0, 2.5e7, n=100000, seed=1)
-        with pytest.raises(ValueError, match="draws per chunk"):
-            next(sample_fields(SPHERE, 1.0, 2.5e5, seed=1, n=1000))
+            measure_estimates(SPHERE, 1.0, 1.0, 2.5e7, n=100000, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -313,7 +257,7 @@ def test_oversized_chunk_draw_refused_before_allocating():
 
 @pytest.mark.parametrize("model", [SPHERE, TORUS_1X2])
 def test_identity_z_is_standard_over_seeds(model):
-    z = np.array([verify_measure_identity(model, 1.0, 1.0, 42.0, n=20000, seed=s).z_score
+    z = np.array([measure_estimates(model, 1.0, 1.0, 42.0, n=20000, seed=s)[0].z_score
                   for s in range(1, 51)])
     assert abs(z.mean()) <= 0.45
     assert 0.7 <= z.std(ddof=1) <= 1.3
