@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .green import det2, gamma0
-from .heat import heat_integral
+from .heat import _check_mass, heat_integral
 from .sumtools import neville_zero
 from .surfaces import SurfaceModel
 from .zeta import laurent_fit, zeta_det
@@ -80,10 +80,8 @@ def _exp(x: float, fn=math.exp) -> float:
 def verify_anomaly(model: SurfaceModel, m0sq: float, m1sq: float,
                    tol: float = 1e-6) -> AnomalyReport:
     """Check the determinant mass-shift identity at (m0^2, m1^2)."""
-    if m0sq <= 0:
-        raise ValueError("m0sq must be positive")
-    if m1sq < 0:
-        raise ValueError("m1sq must be >= 0")
+    _check_mass("m0sq", m0sq)
+    _check_mass("m1sq", m1sq, positive=False)
     z_shift = zeta_det(model, m0sq + m1sq)
     z_base = zeta_det(model, m0sq)
     d2 = det2(model, m0sq, m1sq)
@@ -119,8 +117,7 @@ def verify_anomaly(model: SurfaceModel, m0sq: float, m1sq: float,
 
 def mass_shift_prefactor(model: SurfaceModel, m0: float, m1sq: float) -> float:
     """exp(m1^2 gamma0(m0) A / 2) = exp((A/4 pi) m1^2 (ln(m0/4) + gamma_E))."""
-    if m1sq < 0:
-        raise ValueError("m1sq must be >= 0")
+    _check_mass("m1sq", m1sq, positive=False)
     return math.exp(0.5 * m1sq * gamma0(m0) * model.area)
 
 

@@ -54,6 +54,7 @@ import numpy as np
 
 from .anomaly import _exp
 from .green import det2
+from .heat import _check_mass
 from .surfaces import _MAX_SPECTRUM_POINTS, SurfaceModel, _spectrum_size, eigen_arrays
 
 __all__ = ["MCEstimate", "measure_estimates"]
@@ -192,10 +193,8 @@ _PENDING: dict[tuple, tuple[float, _ChunkRun]] = {}
 def _start(model, m0, m1, lam_max, n, seed, threads, mode):
     """Check the arguments, build the spectrum and start drawing the chunks;
     returns the measured mode's eigenvalue and the run."""
-    if m0 <= 0:
-        raise ValueError("m0 must be positive")
-    if m1 < 0:
-        raise ValueError("m1 must be >= 0")
+    _check_mass("m0", m0)
+    _check_mass("m1", m1, positive=False)
     if n < 1:
         raise ValueError("n must be >= 1")
     if seed < 0:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import k0
-from .heat import heat_integral
+from .heat import _check_mass, heat_integral
 from .sumtools import stable_sum
 from .surfaces import SurfaceModel, eigen_arrays, make_surface
 
@@ -49,8 +49,7 @@ _IMAGE_BLOCK = 1 << 20
 
 def gamma0(m0: float) -> float:
     """(1/2 pi)(ln(m0/4) + gamma_E); vanishes at the bare mass 4 e^{-gamma_E}."""
-    if m0 <= 0:
-        raise ValueError("m0 must be positive")
+    _check_mass("m0", m0)
     return (math.log(0.25 * m0) + _EULER) / _TWO_PI
 
 
@@ -82,10 +81,8 @@ def det2(model: SurfaceModel, m0sq: float, m1sq: float, lam_max: float = 2e5) ->
     Weyl-density integral of -x^2/2 (the tail correction), with a certified
     bound covering the x^3 term and the lattice-count fluctuation.
     """
-    if m0sq <= 0:
-        raise ValueError("m0sq must be positive")
-    if m1sq < 0:
-        raise ValueError("m1sq must be >= 0")
+    _check_mass("m0sq", m0sq)
+    _check_mass("m1sq", m1sq, positive=False)
     if lam_max < 0:
         raise ValueError("lam_max must be >= 0")
     lams, mults = eigen_arrays(model, lam_max)
@@ -116,8 +113,7 @@ class FinitePart:
 
 def cf_mean(model: SurfaceModel, m0sq: float) -> FinitePart:
     """Diagonal Green's-function finite part via the heat route."""
-    if m0sq <= 0:
-        raise ValueError("m0sq must be positive")
+    _check_mass("m0sq", m0sq)
     m0 = math.sqrt(m0sq)
     integral = heat_integral(model, m0sq)
     value = integral.value / model.area + (math.log(2.0 * m0) - _EULER) / _TWO_PI
@@ -134,8 +130,7 @@ def torus_cf_image_sum(l1: float, l2: float, m0: float) -> FinitePart:
     sorted lattice would give.
     """
     make_surface("torus", L1=l1, L2=l2)
-    if m0 <= 0:
-        raise ValueError("m0 must be positive")
+    _check_mass("m0", m0)
     # K0 terms below ~1e-18 are dropped: m0 r > 44 suffices.
     nmax_a = int(44.0 / (m0 * l1)) + 1
     nmax_b = int(44.0 / (m0 * l2)) + 1

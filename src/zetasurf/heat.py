@@ -58,9 +58,21 @@ Above the switch both surfaces take the same direct level sum over
 point.  Every t above it sums those same lines, one numpy row reduction per
 t, so the value at t does not depend on the other points of a batch: the
 elementwise contract of `log_quadrature`, which evaluates a whole pass of
-panels in one call.  Below the switch the torus image sum is cut for the
-batch's largest t, but an image past a t's own cut is below e^-39 times its
-first image, under half an ulp, so it does not change the sum.
+panels in one call.  Below the switch the torus image sum keeps the images
+that matter at the switch point, the same ones for every t, so it too is a
+function of t alone, bit for bit.
+
+E table.  Because the mass factorizes, every quadrature needs only the
+massless E, and `log_quadrature` puts its nodes on one log-t lattice for
+every window that ends on it (`sumtools`).  `_weyl_excess` therefore keeps
+one table of E per surface, keyed by the exact float t and looked up with
+`searchsorted`; only the t it lacks go through the branches above.  As E(t)
+depends on t alone, a warm table returns the values a cold one would
+compute.  Each update replaces the surface's (t, E) arrays in one
+assignment, so a reader never sees one without the other.  The table holds
+at most _EXCESS_CAP = 2^18 nodes over all surfaces (4 MB).  Once a batch's
+new nodes would exceed that, the other surfaces' tables are cleared, as the
+result memos are; a surface whose own table would exceed it is not stored.
 
 With y = m^2 t the massive remainder follows exactly,
 
@@ -68,7 +80,13 @@ With y = m^2 t the massive remainder follows exactly,
                                + e^{-y} E,
 
 with e^{-y} - 1 taken from expm1.  It is the integrand of the Mellin F
-integral in `zeta`, and e^{-y} (chi/6 + E) is the `heat_integral` integrand.
+integral in `zeta`, e^{-y} (chi/6 + E) is the `heat_integral` integrand, and
+the trace itself is theta_E = e^{-y} (a_{-1}/t + chi/6 + E).  So a new mass
+costs only its factors e^{-y} and expm1(-y) and the panel sums.
+
+The upper ends of the default windows lie on the lattice: e^k for the least
+integer k with e^k >= 52/m^2 here, and likewise in `zeta`.  The tail bounds
+are taken at that end.
 
 `heat_integral` remembers its results per (model, m^2, abs_tol, t_lo, t_hi),
 as `zeta_det` does per (model, m^2, n0, t_star); both memos are cleared once
@@ -83,7 +101,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import zeta as _zeta
 
-from .sumtools import log_quadrature
+from .sumtools import _lattice_ceil, log_quadrature
 from .surfaces import SurfaceModel, eigen_arrays
 
 __all__ = ["HeatCoeffs", "HeatIntegral", "heat_coeffs", "heat_trace", "heat_integral"]
@@ -94,6 +112,11 @@ _EXP_CUT = 52.0  # e^-52 ~ 2.6e-23: relative truncation floor for trace sums
 # heat_integral and one of zeta_det together take about 2.2 KB.
 _MEMO_CAP = 4096
 _HEAT_MEMO: dict[tuple, HeatIntegral] = {}
+# E(t) per surface, as (sorted t, E) arrays; cleared once it would hold more
+# than _EXCESS_CAP nodes over all surfaces (16 bytes each: 4 MB)
+_EXCESS: dict[SurfaceModel, tuple[np.ndarray, np.ndarray]] = {}
+_EXCESS_CAP = 1 << 18
+_NO_EXCESS = (np.empty(0), np.empty(0))
 
 
 def _remember(memo: dict, key: tuple, value) -> None:
@@ -109,9 +132,16 @@ class HeatCoeffs:
     a_0: float
 
 
+def _check_mass(name: str, value: float, positive: bool = True) -> None:
+    """ValueError naming the argument unless value is finite and > 0 (or
+    >= 0 where positive is False)."""
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        sign = "positive" if positive else ">= 0"
+        raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
+
+
 def heat_coeffs(model: SurfaceModel, msq: float) -> HeatCoeffs:
-    if msq < 0:
-        raise ValueError("msq must be >= 0")
+    _check_mass("msq", msq, positive=False)
     a_m1 = model.area / _FOUR_PI
     return HeatCoeffs(a_minus1=a_m1, a_0=model.euler_char / 6.0 - msq * a_m1)
 
@@ -133,9 +163,10 @@ def _theta_direct(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _image_sum(length: float, t: np.ndarray) -> np.ndarray:
-    """s(L, t) = 2 sum_{a>=1} exp(-a^2 L^2 / 4t), the Poisson image terms."""
-    amax = int(math.sqrt(4.0 * _EXP_CUT * float(t.max())) / length) + 1
+def _image_sum(length: float, t_cut: float, t: np.ndarray) -> np.ndarray:
+    """s(L, t) = 2 sum_{a>=1} exp(-a^2 L^2 / 4t), the Poisson image terms,
+    with the images that matter at t_cut >= t (module docstring)."""
+    amax = int(math.sqrt(4.0 * _EXP_CUT * t_cut) / length) + 1
     a = np.arange(1, amax + 1, dtype=float)
     return 2.0 * np.exp(-np.outer(1.0 / (4.0 * t), (a * length) ** 2)).sum(axis=1)
 
@@ -186,7 +217,8 @@ def _small_t_excess(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
     if model.kind == "sphere":
         x = t / (model.radius * model.radius)
         return x * np.polynomial.polynomial.polyval(x, _SERIES_COEFFS)
-    s1, s2 = _image_sum(model.l1, t), _image_sum(model.l2, t)
+    t_cut = _switch(model)
+    s1, s2 = _image_sum(model.l1, t_cut, t), _image_sum(model.l2, t_cut, t)
     return model.area / (_FOUR_PI * t) * (s1 + s2 + s1 * s2)
 
 
@@ -204,18 +236,26 @@ def _by_branch(model: SurfaceModel, t: np.ndarray, small, direct) -> np.ndarray:
     return out
 
 
-def _theta_laplace(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
-    """Massless heat trace, vectorized over t."""
-    a_m1, a_0 = model.area / _FOUR_PI, model.euler_char / 6.0
-    return _by_branch(model, t, lambda ts: a_m1 / ts + a_0 + _small_t_excess(model, ts),
-                      lambda ts: _theta_direct(model, ts))
-
-
 def _weyl_excess(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
-    """E(t) = theta_Delta(t) - a_{-1}/t - chi/6, without cancellation."""
+    """E(t) = theta_Delta(t) - a_{-1}/t - chi/6, without cancellation, read
+    from the surface's table; the t it lacks are computed and stored."""
+    keys, vals = _EXCESS.get(model, _NO_EXCESS)
+    at = np.searchsorted(keys, t)
+    hit = at < keys.size
+    hit[hit] = keys[at[hit]] == t[hit]
+    if hit.all():
+        return vals[at]
+    fresh = np.unique(t[~hit])
     a_m1, a_0 = model.area / _FOUR_PI, model.euler_char / 6.0
-    return _by_branch(model, t, lambda ts: _small_t_excess(model, ts),
-                      lambda ts: _theta_direct(model, ts) - a_m1 / ts - a_0)
+    excess = _by_branch(model, fresh, lambda ts: _small_t_excess(model, ts),
+                        lambda ts: _theta_direct(model, ts) - a_m1 / ts - a_0)
+    at = np.searchsorted(keys, fresh)
+    keys, vals = np.insert(keys, at, fresh), np.insert(vals, at, excess)
+    if sum(k.size for k, _ in _EXCESS.values()) + fresh.size > _EXCESS_CAP:
+        _EXCESS.clear()
+    if keys.size <= _EXCESS_CAP:
+        _EXCESS[model] = keys, vals   # one assignment: readers see a matching pair
+    return vals[np.searchsorted(keys, t)]
 
 
 def _series_bound(model: SurfaceModel, t_hi: float) -> float:
@@ -240,7 +280,9 @@ def _remainder(model: SurfaceModel, msq: float, t: np.ndarray) -> np.ndarray:
 
 
 def _theta(model: SurfaceModel, msq: float, t: np.ndarray) -> np.ndarray:
-    return np.exp(-msq * t) * _theta_laplace(model, t)
+    """theta_E(t) = e^{-m^2 t} (a_{-1}/t + chi/6 + E(t))."""
+    return np.exp(-msq * t) * (model.area / (_FOUR_PI * t) + model.euler_char / 6.0
+                               + _weyl_excess(model, t))
 
 
 def heat_trace(model: SurfaceModel, msq: float, t):
@@ -248,8 +290,7 @@ def heat_trace(model: SurfaceModel, msq: float, t):
 
     Truncation of the spectral sum is fixed at the e^-52 relative floor.
     """
-    if msq < 0:
-        raise ValueError("msq must be >= 0")
+    _check_mass("msq", msq, positive=False)
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("t must be positive and finite")
@@ -270,11 +311,13 @@ def heat_integral(model: SurfaceModel, msq: float, abs_tol: float = 1e-8,
                   t_lo: float | None = None, t_hi: float | None = None) -> HeatIntegral:
     """Finite part of the resolvent trace at s = 0 (see module docstring).
 
-    t_lo/t_hi override the quadrature window; the certified bound covers the
-    analytic remainders outside it, so the value is window-independent within
-    the reported bound.
+    t_lo/t_hi override the quadrature window, by default [1e-5, e^k] with k
+    the least integer with e^k >= 52/m^2 (module docstring); the certified
+    bound covers the analytic remainders outside it, so the value is
+    window-independent within the reported bound.
     """
-    if msq <= 0.0:
+    _check_mass("msq", msq, positive=False)
+    if msq == 0.0:
         raise ValueError(
             "heat_integral requires msq > 0; the massless pathway lives in "
             "anomaly.verify_massless (primed determinant with the zero mode removed)")
@@ -283,9 +326,10 @@ def heat_integral(model: SurfaceModel, msq: float, abs_tol: float = 1e-8,
     if t_lo is None:
         t_lo = 1e-5
     if t_hi is None:
-        t_hi = _EXP_CUT / msq
-    if not (0.0 < t_lo < t_hi):
-        raise ValueError("need 0 < t_lo < t_hi")
+        t_hi = _lattice_ceil(_EXP_CUT / msq)
+    if not (0.0 < t_lo < t_hi < math.inf):
+        raise ValueError(f"heat_integral needs 0 < t_lo < t_hi < inf, "
+                         f"got t_lo={t_lo!r}, t_hi={t_hi!r}")
     key = (model, msq, abs_tol, t_lo, t_hi)
     result = _HEAT_MEMO.get(key)
     if result is None:

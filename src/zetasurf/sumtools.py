@@ -14,6 +14,14 @@ value at a node may not depend on which other nodes share the batch.  With
 that, each panel's two Gauss-Legendre sums are row reductions of the same
 products as a panel-by-panel evaluation, and the per-call overhead is paid
 once per pass, not once per panel and rule.
+
+Log-t lattice.  The initial panels of a window [t_lo, t_hi] end at the
+integers of u = ln t strictly inside (ln t_lo, ln t_hi) and at the window's
+two ends, so no panel is wider than 1.  A panel [k, k + 1] has the same nodes,
+bit for bit, in every window that contains it, and so do its bisections.
+Windows that end on the lattice (`_lattice_ceil`) therefore evaluate an
+integrand at shared nodes, which is what lets `heat` keep one table of the
+massless trace per surface for every mass.
 """
 from __future__ import annotations
 
@@ -86,17 +94,20 @@ def log_quadrature(fn, t_lo: float, t_hi: float, abs_tol: float = 1e-12,
 
     fn must accept a 1-D numpy array of t values and return the integrand at
     each, elementwise (module docstring): it is called once for the initial
-    panels of log-width <= 1 and once per bisection, on both children's nodes,
-    so a result takes 1 + splits calls.  Panels are refined (worst-first
-    bisection) until the summed Gauss-Legendre doubling discrepancy drops
-    below abs_tol or the split budget is exhausted; the achieved bound is
-    always reported.
+    panels, cut at the integers of ln t (module docstring), and once per
+    bisection, on both children's nodes, so a result takes 1 + splits calls.
+    The window must be finite: 0 < t_lo < t_hi < inf.  Panels are refined
+    (worst-first bisection) until the summed Gauss-Legendre doubling
+    discrepancy drops below abs_tol or the split budget is exhausted; the
+    achieved bound is always reported.
     """
-    if not (0.0 < t_lo < t_hi):
-        raise ValueError("log_quadrature requires 0 < t_lo < t_hi")
+    if not (0.0 < t_lo < t_hi < math.inf):
+        raise ValueError(f"log_quadrature requires 0 < t_lo < t_hi < inf, "
+                         f"got t_lo={t_lo!r}, t_hi={t_hi!r}")
     u_lo, u_hi = math.log(t_lo), math.log(t_hi)
-    n_panels = max(1, int(math.ceil(u_hi - u_lo)))
-    edges = np.linspace(u_lo, u_hi, n_panels + 1)
+    # the integers of u strictly inside the window (module docstring)
+    inner = np.arange(math.floor(u_lo) + 1, math.ceil(u_hi), dtype=float)
+    edges = np.concatenate([[u_lo], inner, [u_hi]])
     vals, errs = _panel_pass(fn, edges[:-1], edges[1:], n_lo, n_hi)
     panels = [list(p) for p in zip(edges[:-1].tolist(), edges[1:].tolist(), errs, vals)]
 
@@ -113,6 +124,14 @@ def log_quadrature(fn, t_lo: float, t_hi: float, abs_tol: float = 1e-12,
     bound = math.fsum(p[2] for p in panels)
     return QuadratureResult(value, bound, [(p[0], p[1], p[2]) for p in panels],
                             splits, max_splits)
+
+
+def _lattice_ceil(t: float) -> float:
+    """e^k for the least integer k with e^k >= t > 0: a window end on the
+    log-t lattice (module docstring); inf where e^k would overflow."""
+    if not t < 1e307:
+        return math.inf
+    return math.exp(math.ceil(math.log(t)))
 
 
 def neville_zero(hs, vals) -> tuple[float, float]:

@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import beta as _beta_fn, betainc as _betainc, gammaln as _gammaln
 
-from .heat import _EXP_CUT, _remainder, _remember, _series_bound, _theta, heat_coeffs
-from .sumtools import log_quadrature, stable_sum
+from .heat import (_EXP_CUT, _check_mass, _remainder, _remember, _series_bound, _theta,
+                   heat_coeffs)
+from .sumtools import _lattice_ceil, log_quadrature, stable_sum
 from .surfaces import SurfaceModel, first_positive_eigenvalue
 
 __all__ = [
@@ -75,8 +76,10 @@ class LaurentFit:
 
 def _mellin_pieces(model: SurfaceModel, msq: float, n0: int, t_star: float):
     """F(0), G(0) and their certified bounds for the split formula."""
-    coeffs = heat_coeffs(model, msq)
-    a_m1, a_0 = coeffs.a_minus1, coeffs.a_0
+    # a0 = chi/6 - m^2 a_{-1}; heat_coeffs(model, msq) would refuse msq = inf,
+    # which zeta_det lets through to its NaN bound
+    massless = heat_coeffs(model, 0.0)
+    a_m1, a_0 = massless.a_minus1, massless.a_0 - msq * massless.a_minus1
 
     def rho(t: np.ndarray) -> np.ndarray:
         # (theta~ - a_{-1}/t - a0~)/t; the zero-mode shift cancels in a0~.
@@ -92,7 +95,8 @@ def _mellin_pieces(model: SurfaceModel, msq: float, n0: int, t_star: float):
     f_bound = quad_f.err_bound + f_small_bound + f_round + _series_bound(model, t_star)
 
     mu = msq + (first_positive_eigenvalue(model) if n0 else 0.0)
-    t_hi = max(_EXP_CUT / mu, 2.0 * t_star)
+    # on the log-t lattice, so that every mass reads the same table nodes
+    t_hi = _lattice_ceil(max(_EXP_CUT / mu, 2.0 * t_star))
 
     def theta_over_t(t: np.ndarray) -> np.ndarray:
         return (_theta(model, msq, t) - n0) / t
@@ -108,13 +112,15 @@ def _mellin_pieces(model: SurfaceModel, msq: float, n0: int, t_star: float):
 def zeta_det(model: SurfaceModel, msq: float, exclude_zero_mode: bool = False,
              tol: float = 1e-8, t_star: float = 1.0) -> ZetaResult:
     """Zeta-regularized determinant of Laplacian + m^2 on the model surface."""
-    if msq < 0:
+    if not msq >= 0:
         raise ValueError("msq must be >= 0")
     if msq == 0.0 and not exclude_zero_mode:
         raise ValueError("msq = 0 requires exclude_zero_mode=True "
                          "(zeta is undefined with the zero mode included)")
     if not (0.0 < tol <= 1e-4):
         raise ValueError("tol must lie in (0, 1e-4]")
+    if not (_T_LO < t_star < math.inf):
+        raise ValueError(f"t_star must lie in ({_T_LO:g}, inf), got {t_star!r}")
     n0 = 1 if (exclude_zero_mode and msq == 0.0) else 0
     key = (model, msq, n0, t_star)
     entry = _ZETA_MEMO.get(key)
@@ -230,8 +236,7 @@ def dirichlet_trace(model: SurfaceModel, msq: float, s: float) -> TraceResult:
     closed-form integral tails and Euler-Maclaurin corrections."""
     if s <= 0:
         raise ValueError("s must be > 0 (the series diverges otherwise)")
-    if msq <= 0:
-        raise ValueError("msq must be > 0")
+    _check_mass("msq", msq)
     if model.kind == "sphere":
         return _dirichlet_sphere(model, msq, s)
     return _dirichlet_torus(model, msq, s)

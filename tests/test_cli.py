@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from zetasurf import cli, gff, parse_surface, verify_anomaly
+from zetasurf import cli, gff, heat, parse_surface, verify_anomaly, zeta
 from zetasurf.cli import main
 
 
@@ -224,6 +224,20 @@ def test_verify_all_anomaly_rows_are_verify_anomaly_reports(capsys):
         assert (row["rel_residual"], row["error_budget"], row["pass"]) == (
             rep.rel_residual, rep.error_budget, rep.passed)
         assert row["budget_breakdown"] == rep.budget_breakdown
+
+
+def test_verify_all_twice_in_one_process_gives_one_report(capsys, monkeypatch):
+    # the first run starts from cold memos and a cold E(t) table; the second
+    # recomputes every result from the table the first one filled
+    monkeypatch.setattr(heat, "_EXCESS", {})
+    outs = []
+    for _ in range(2):
+        monkeypatch.setattr(zeta, "_ZETA_MEMO", {})
+        monkeypatch.setattr(heat, "_HEAT_MEMO", {})
+        code, out, err = _run(capsys, "verify-all", "--samples", "20000", "--threads", "1")
+        assert code == 0, err
+        outs.append(re.sub(r'^\s*"(runtime_ms|timestamp)":.*$', "", out, flags=re.M))
+    assert outs[0] == outs[1]
 
 
 def test_threads_env_must_be_an_integer(capsys, monkeypatch):

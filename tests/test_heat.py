@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from zetasurf import heat_coeffs, heat_integral, heat_trace, make_surface, torus_cf_image_sum
+from zetasurf import heat, heat_coeffs, heat_integral, heat_trace, make_surface, torus_cf_image_sum
 from zetasurf.heat import (_SERIES_COEFFS, _SERIES_REM, _remainder, _small_t_excess,
-                           _theta_direct, _theta_laplace, _weyl_excess)
+                           _theta_direct, _weyl_excess)
 from zetasurf.sumtools import log_quadrature, neville_zero
 
 PI = math.pi
@@ -33,7 +33,7 @@ def test_torus_poisson_form_small_t():
 def test_torus_direct_vs_poisson_at_crossover():
     t = np.array([0.05])
     d = float(_theta_direct(TORUS, t)[0])
-    p = float(_theta_laplace(TORUS, t)[0])  # Poisson form below t = 0.1
+    p = heat_trace(TORUS, 0.0, 0.05)  # Poisson form below t = 0.1
     assert abs(d - p) < 1e-10
 
 
@@ -152,12 +152,16 @@ def test_sphere_f_integrand_converges_within_split_budget(radius, msq):
 
 
 @pytest.mark.parametrize("model", [SPHERE, make_surface("torus", L1=1.5, L2=0.7)])
-def test_weyl_excess_is_elementwise(model):
+def test_weyl_excess_is_elementwise(model, monkeypatch):
     # log_quadrature batches whole passes, so a value may not depend on the
-    # batch; both switch points lie in (0.04, 0.1)
+    # batch; both switch points lie in (0.04, 0.1).  Each call starts from a
+    # cold table, so every value is a branch evaluation of its own.
+    monkeypatch.setattr(heat, "_EXCESS", {})
     t = np.concatenate([np.geomspace(1e-5, 0.04, 41), np.geomspace(0.1, 40.0, 56)])
     batch = _weyl_excess(model, t)
-    assert all(batch[i] == _weyl_excess(model, t[i:i + 1])[0] for i in range(t.size))
+    for i in range(t.size):
+        heat._EXCESS.clear()
+        assert batch[i] == _weyl_excess(model, t[i:i + 1])[0]
 
 
 def test_remainder_matches_direct_subtraction_at_moderate_t():

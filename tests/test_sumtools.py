@@ -21,9 +21,11 @@ def _panel_quad(fn, u_lo, u_hi, n_lo, n_hi):
 
 
 def _per_panel_quadrature(fn, t_lo, t_hi, abs_tol=1e-12, n_lo=32, n_hi=48, max_splits=60):
-    """The quadrature evaluated panel by panel: the oracle for the batched pass."""
+    """The quadrature evaluated panel by panel: the oracle for the batched pass.
+    The initial edges are the integers strictly inside (ln t_lo, ln t_hi) and
+    the two ends."""
     u_lo, u_hi = math.log(t_lo), math.log(t_hi)
-    edges = np.linspace(u_lo, u_hi, max(1, int(math.ceil(u_hi - u_lo))) + 1)
+    edges = [u_lo] + [float(k) for k in range(math.floor(u_lo) + 1, math.ceil(u_hi))] + [u_hi]
     panels = []
     for a, b in zip(edges[:-1], edges[1:]):
         v, e = _panel_quad(fn, a, b, n_lo, n_hi)
