@@ -38,11 +38,11 @@ thread, which then joins the helpers and reduces.  verify-all starts its
 sphere record's draw this way before its deterministic records, and the
 final call with the same arguments finishes it.
 
-The identity's target is `det2`'s truncated log, the one per-line sum of
-mult_l (log1p x_l - x_l).  The weights are summed as w e^{-shift}, with shift
-the largest log-weight drawn, and the mean, its standard error and the target
-are compared in that frame; each is reported as inf only where it exceeds
-float range.
+The identity's target is `det2`'s truncated log, the sum of log1p x - x over
+the modes of the lines drawn (`surfaces`).  The weights are summed as
+w e^{-shift}, with shift the largest log-weight drawn, and the mean, its
+standard error and the target are compared in that frame; each is reported as
+inf only where it exceeds float range.
 """
 from __future__ import annotations
 

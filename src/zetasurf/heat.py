@@ -101,7 +101,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import zeta as _zeta
 
-from .sumtools import _lattice_ceil, log_quadrature
+from .sumtools import _EPS, _lattice_ceil, log_quadrature
 from .surfaces import SurfaceModel, eigen_arrays
 
 __all__ = ["HeatCoeffs", "HeatIntegral", "heat_coeffs", "heat_trace", "heat_integral"]
@@ -356,12 +356,15 @@ def heat_integral(model: SurfaceModel, msq: float, abs_tol: float = 1e-8,
         # int |dE| dt <= t_s int |dE| dt/t
         series_bound = min(t_hi, _switch(model)) * _series_bound(model, t_hi)
 
-        value = quad.value + small_corr - a_m1 * math.log(msq)
-        bound = quad.err_bound + small_bound + tail_bound + series_bound
+        log_term = a_m1 * math.log(msq)
+        value = quad.value + small_corr - log_term
+        # rounding of log_term and of the two additions
+        assembly = 2.0 * _EPS * (abs(log_term) + abs(value))
+        bound = quad.err_bound + small_bound + tail_bound + series_bound + assembly
         profile = quad.profile()
         profile.update({"t_lo": t_lo, "t_hi": t_hi, "small_t_correction": small_corr,
                         "small_t_bound": small_bound, "tail_bound": tail_bound,
-                        "series_bound": series_bound})
+                        "series_bound": series_bound, "assembly_bound": assembly})
         result = HeatIntegral(value=value, abs_error_bound=bound, quadrature_profile=profile)
         _remember(_HEAT_MEMO, key, result)
     if not (result.abs_error_bound <= abs_tol):

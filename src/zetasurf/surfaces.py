@@ -24,6 +24,13 @@ point is a line of its own.  A line's eigenvalue is
 float's rounding error are ordered by their exact integers and take the
 correctly rounded eigenvalue, so the order never depends on rounding.
 
+Under a cutoff lam_max lie the sphere's levels k(k+1)/R^2 <= lam_max and the
+torus points whose float al p^2 + be q^2 is <= lam_max, point by point (a
+cutoff on an eigenvalue may keep part of its line).  `eigen_arrays` groups
+those points into lines, or returns them as they are for sums that need no
+grouping (det2): one mode set at every cutoff.  Spectra are cached per exact
+lam_max, in at most 2^20 entries (16 MB) over all keys.
+
 A spectrum whose lines (sphere) or lattice points (torus) would exceed a
 fixed budget is refused with a ValueError before anything is allocated.
 """
@@ -112,7 +119,9 @@ def parse_surface(spec: str) -> SurfaceModel:
 
 # ----------------------------------------------------------------- spectrum
 
+# (eigenvalues, weights) per (surface, lam_max, lines); cleared at the cap
 _SPECTRUM_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+_SPECTRUM_CAP = 1 << 20
 # Lines (sphere) or lattice points (torus) one spectrum build may hold.  A
 # torus build near it peaks at about 0.45 GB, and its int64 keys stay below
 # 2 (pmax qmax)^2 < 2^47.
@@ -135,20 +144,15 @@ def _spectrum_size(model: SurfaceModel, lam_max: float) -> tuple[float, float]:
 
 
 def _sphere_lines(radius: float, lam_max: float):
-    rsq = radius * radius
-    # closed form, then settled against the float test k(k+1)/R^2 <= lam_max
-    kmax = int(math.floor(math.sqrt(lam_max * rsq + 0.25) - 0.5))
-    while ((kmax + 1) * (kmax + 2)) / rsq <= lam_max:
-        kmax += 1
-    while kmax >= 0 and (kmax * (kmax + 1)) / rsq > lam_max:
-        kmax -= 1
-    k = np.arange(kmax + 1)
-    return (k * (k + 1)) / rsq, 2.0 * k + 1.0
+    # the float test k(k+1)/R^2 <= lam_max, which forces k < R sqrt(lam_max)
+    k = np.arange(int(radius * math.sqrt(lam_max)) + 2)
+    lams = (k * (k + 1)) / (radius * radius)
+    return lams[lams <= lam_max], 2.0 * k[lams <= lam_max] + 1.0
 
 
-def _torus_lines(l1: float, l2: float, lam_max: float):
-    # lambda(p, q) = al p^2 + be q^2; the grouping is explained in the module
-    # docstring
+def _torus_points(l1: float, l2: float, lam_max: float):
+    """(p, q, lambda, sign copies) of the quadrant points p, q >= 0 whose
+    float al p^2 + be q^2 is <= lam_max, row by row."""
     al = _FOUR_PI_SQ / (l1 * l1)
     be = _FOUR_PI_SQ / (l2 * l2)
     pmax = int(math.floor(math.sqrt(lam_max) * l1 / _TWO_PI)) + 1
@@ -163,6 +167,12 @@ def _torus_lines(l1: float, l2: float, lam_max: float):
     p = np.repeat(rows, counts)
     q = np.arange(p.size) - np.repeat(np.cumsum(counts) - counts, counts)
     signs = (1.0 + (p > 0)) * (1.0 + (q > 0))
+    return p, q, al * (p * p) + be * (q * q), signs
+
+
+def _torus_lines(l1: float, l2: float, lam_max: float):
+    # _torus_points grouped into lines and ordered (module docstring)
+    p, q, lams, mults = _torus_points(l1, l2, lam_max)
     n1, d1 = (l1 * l1).as_integer_ratio()
     n2, d2 = (l2 * l2).as_integer_ratio()
     w1, w2 = n2 * d1, n1 * d2
@@ -172,11 +182,8 @@ def _torus_lines(l1: float, l2: float, lam_max: float):
         # ties beyond the signs are possible: group by the exact key
         _, first, line = np.unique(p * p * a + q * q * b,
                                    return_index=True, return_inverse=True)
-        p, q, mults = p[first], q[first], np.bincount(line, weights=signs)
-    else:
-        # only the sign ties, already counted: each point is its own line
-        mults = signs
-    lams = al * (p * p) + be * (q * q)
+        p, q, lams, mults = p[first], q[first], lams[first], np.bincount(line, weights=mults)
+    # otherwise only the sign ties exist, already counted: each point is a line
     order = np.argsort(lams)
     # lines within rounding distance of each other: exact order and value
     at = np.flatnonzero(np.diff(lams[order]) <= _CLOSE_LINES * lams[order][1:])
@@ -187,35 +194,36 @@ def _torus_lines(l1: float, l2: float, lam_max: float):
     return lams[order], mults[order]
 
 
-def eigen_arrays(model: SurfaceModel, lam_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, multiplicities) with eigenvalue <= lam_max, cached.
-
-    The cache stores the spectrum up to the next power-of-two bucket so that
-    repeated calls with growing cutoffs don't recompute from scratch.  A
-    bucket whose lines (sphere) or lattice points (torus) would exceed the
-    size budget raises ValueError before anything is built.
-    """
+def eigen_arrays(model: SurfaceModel, lam_max: float,
+                 lines: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, multiplicities) of the lines under lam_max in increasing
+    order or, with lines=False on the torus, of its quadrant points in row
+    order, weighted by their sign copies; cached.  A spectrum over the size
+    budget raises ValueError before anything is built."""
     if not lam_max >= 0:
         raise ValueError("lam_max must be >= 0")
-    bucket = 1.0
-    while bucket < lam_max:
-        bucket *= 2.0
-    key = (model.kind, model.radius, model.l1, model.l2, bucket)
-    if key not in _SPECTRUM_CACHE:
-        lines, points = _spectrum_size(model, bucket)
-        size = lines if model.kind == "sphere" else points
-        if size > _MAX_SPECTRUM_POINTS:
-            unit = "spectral lines" if model.kind == "sphere" else "lattice points"
+    sphere = model.kind == "sphere"
+    key = (model, lam_max, lines or sphere)
+    spectrum = _SPECTRUM_CACHE.get(key)
+    if spectrum is None:
+        estimate = _spectrum_size(model, lam_max)[0 if sphere else 1]
+        if estimate > _MAX_SPECTRUM_POINTS:
+            unit = "spectral lines" if sphere else "lattice points"
             raise ValueError(
-                f"lam_max={lam_max:g} needs up to {size:.2g} {unit} on "
+                f"lam_max={lam_max:g} needs up to {estimate:.2g} {unit} on "
                 f"{model.label()}, over the budget of {_MAX_SPECTRUM_POINTS:.0e}")
-        if model.kind == "sphere":
-            _SPECTRUM_CACHE[key] = _sphere_lines(model.radius, bucket)
+        if sphere:
+            spectrum = _sphere_lines(model.radius, lam_max)
+        elif lines:
+            spectrum = _torus_lines(model.l1, model.l2, lam_max)
         else:
-            _SPECTRUM_CACHE[key] = _torus_lines(model.l1, model.l2, bucket)
-    lams, mults = _SPECTRUM_CACHE[key]
-    n = int(np.searchsorted(lams, lam_max, side="right"))
-    return lams[:n], mults[:n]
+            spectrum = _torus_points(model.l1, model.l2, lam_max)[2:]
+        size = spectrum[0].size
+        if size <= _SPECTRUM_CAP:
+            if sum(lams.size for lams, _ in _SPECTRUM_CACHE.values()) + size > _SPECTRUM_CAP:
+                _SPECTRUM_CACHE.clear()
+            _SPECTRUM_CACHE[key] = spectrum
+    return spectrum
 
 
 def first_positive_eigenvalue(model: SurfaceModel) -> float:

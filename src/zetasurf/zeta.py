@@ -76,10 +76,8 @@ class LaurentFit:
 
 def _mellin_pieces(model: SurfaceModel, msq: float, n0: int, t_star: float):
     """F(0), G(0) and their certified bounds for the split formula."""
-    # a0 = chi/6 - m^2 a_{-1}; heat_coeffs(model, msq) would refuse msq = inf,
-    # which zeta_det lets through to its NaN bound
-    massless = heat_coeffs(model, 0.0)
-    a_m1, a_0 = massless.a_minus1, massless.a_0 - msq * massless.a_minus1
+    coeffs = heat_coeffs(model, msq)
+    a_m1, a_0 = coeffs.a_minus1, coeffs.a_0
 
     def rho(t: np.ndarray) -> np.ndarray:
         # (theta~ - a_{-1}/t - a0~)/t; the zero-mode shift cancels in a0~.
@@ -112,8 +110,7 @@ def _mellin_pieces(model: SurfaceModel, msq: float, n0: int, t_star: float):
 def zeta_det(model: SurfaceModel, msq: float, exclude_zero_mode: bool = False,
              tol: float = 1e-8, t_star: float = 1.0) -> ZetaResult:
     """Zeta-regularized determinant of Laplacian + m^2 on the model surface."""
-    if not msq >= 0:
-        raise ValueError("msq must be >= 0")
+    _check_mass("msq", msq, positive=False)
     if msq == 0.0 and not exclude_zero_mode:
         raise ValueError("msq = 0 requires exclude_zero_mode=True "
                          "(zeta is undefined with the zero mode included)")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from scipy.special import psi
 
 from zetasurf import (cf_mean, det2, gamma0, heat_integral, k0, make_surface,
                       torus_cf_image_sum)
-from zetasurf import green
 
 PI = math.pi
 EULER = float(np.euler_gamma)
@@ -80,24 +80,30 @@ def test_two_oracle_cf_agreement():
     assert heat_route.cf_mean == pytest.approx(image_route.cf_mean, abs=1e-6)
 
 
-def _unfolded_image_sum(l1, l2, m0):
-    # every lattice vector, sorted, one exactly rounded sum
+def _unfolded_image_sum(l1, l2, m0, block):
+    # the 2-D lattice route: every lattice vector with m0 |v| < 44, rows
+    # streamed in blocks of about `block` points into one exactly rounded sum,
+    # which does not depend on the block
     na, nb = int(44.0 / (m0 * l1)) + 1, int(44.0 / (m0 * l2)) + 1
-    ra, rb = np.meshgrid(np.arange(-na, na + 1, dtype=float) * l1,
-                         np.arange(-nb, nb + 1, dtype=float) * l2, indexing="ij")
-    r = np.hypot(ra, rb).ravel()
-    r = r[(r > 0.0) & (m0 * r < 44.0)]
-    return FREE_SPACE_CF + math.fsum(k0(m0 * np.sort(r)).tolist()) / (2 * PI)
+    rb = np.arange(-nb, nb + 1, dtype=float) * l2
+    rows = max(1, block // rb.size)
+    terms = []
+    for start in range(-na, na + 1, rows):
+        ra = np.arange(start, min(start + rows, na + 1), dtype=float) * l1
+        r = np.hypot(ra[:, None], rb[None, :]).ravel()
+        terms += k0(m0 * r[(r > 0.0) & (m0 * r < 44.0)]).tolist()
+    return FREE_SPACE_CF + math.fsum(terms) / (2 * PI)
 
 
 @pytest.mark.parametrize("block", [1 << 20, 1000])
 @pytest.mark.parametrize("l1,l2,m0", [(1.0, 1.0, 1.0), (0.5, 0.5, 0.5),
                                       (3.0, 0.5, 1.0), (1.3, 0.77, 0.7)])
-def test_image_sum_quadrant_equals_unfolded_sum(monkeypatch, block, l1, l2, m0):
-    # the folded, streamed sum is the same exactly rounded number, whatever
-    # the block size
-    monkeypatch.setattr(green, "_IMAGE_BLOCK", block)
-    assert torus_cf_image_sum(l1, l2, m0).cf_mean == _unfolded_image_sum(l1, l2, m0)
+def test_image_sum_quadrant_equals_unfolded_sum(block, l1, l2, m0):
+    # the one-direction Poisson form agrees with the 2-D lattice sum within
+    # its reported bound (the 2-D sum's own truncation is below e^-44)
+    image = torus_cf_image_sum(l1, l2, m0)
+    assert 0.0 < image.err_bound < 1e-14 * image.cf_mean
+    assert abs(image.cf_mean - _unfolded_image_sum(l1, l2, m0, block)) <= image.err_bound
 
 
 def test_cf_free_space_limit_large_torus():
@@ -153,3 +159,33 @@ def test_sphere_cf_matches_digamma_closed_form(radius, m0sq):
     model = make_surface("sphere", R=radius)
     bound = heat_integral(model, m0sq).abs_error_bound / model.area
     assert abs(cf_mean(model, m0sq).cf_mean - _sphere_cf_closed_form(radius, m0sq)) <= bound
+
+
+@pytest.mark.parametrize("l1,l2,m0", [(1.0, 2.0, 0.3), (3.0, 0.5, 1e-3), (0.7, 1.9, 0.01)])
+def test_image_sum_side_swap_is_exact(l1, l2, m0):
+    # the Poisson direction is the longer side whichever way it is given
+    a, b = torus_cf_image_sum(l1, l2, m0), torus_cf_image_sum(l2, l1, m0)
+    assert (a.cf_mean, a.err_bound) == (b.cf_mean, b.err_bound)
+
+
+@pytest.mark.parametrize("l1,l2", [(1.0, 1.0), (2.0, 1.0), (3.0, 0.5)])
+@pytest.mark.parametrize("m0", [0.01, 1e-3])
+def test_image_sum_matches_heat_route_at_small_mass(l1, l2, m0):
+    # C_f ~ 1/(m0^2 A) here: the two routes agree within their two bounds
+    heat_route = cf_mean(make_surface("torus", L1=l1, L2=l2), m0 * m0)
+    image = torus_cf_image_sum(l1, l2, m0)
+    assert image.err_bound > 0.0 and heat_route.err_bound > 0.0
+    assert abs(heat_route.cf_mean - image.cf_mean) <= heat_route.err_bound + image.err_bound
+
+
+@pytest.mark.parametrize("m0", [1e-9, 1e-300])
+def test_image_sum_row_over_budget_refused_before_allocating(m0):
+    # the row a = 0 holds 44/(m0 L2) K0 terms: 4.4e10 at m0 = 1e-9
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^m0="):
+            torus_cf_image_sum(1.0, 1.0, m0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

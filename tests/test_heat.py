@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from zetasurf import heat, heat_coeffs, heat_integral, heat_trace, make_surface, torus_cf_image_sum
+from zetasurf import (heat, heat_coeffs, heat_integral, heat_trace, make_surface,
+                      parse_surface, torus_cf_image_sum, zeta_det)
 from zetasurf.heat import (_SERIES_COEFFS, _SERIES_REM, _remainder, _small_t_excess,
                            _theta_direct, _weyl_excess)
 from zetasurf.sumtools import log_quadrature, neville_zero
@@ -100,6 +101,21 @@ def test_heat_integral_torus_matches_image_sum_oracle():
     image = torus_cf_image_sum(1.0, 1.0, 1.0)
     heat_route_cf = res.value / TORUS.area + (math.log(2.0) - np.euler_gamma) / (2 * PI)
     assert heat_route_cf == pytest.approx(image.cf_mean, abs=1e-6)
+
+
+@pytest.mark.parametrize("spec, msq", [
+    ("torus:L1=2.70753,L2=2.91826", 3.24125), ("torus:L1=2.70753,L2=2.91826", 5.86046),
+    ("torus:L1=1.96706,L2=0.674443", 2.0628), ("torus:L1=1,L2=1", 8.0),
+    ("sphere:R=1", 1.0), ("sphere:R=0.5", 4.0), ("sphere:R=2", 1.5),
+])
+def test_heat_and_zeta_bounds_cover_an_ulp_of_the_value(spec, msq):
+    # each value is a rounded float: no honest bound is below its ulp (the
+    # first three are surface-sweep cases whose heat bounds were not)
+    model = parse_surface(spec)
+    res = heat_integral(model, msq)
+    assert res.abs_error_bound >= math.ulp(res.value)
+    z = zeta_det(model, msq)
+    assert z.err_bound >= math.ulp(z.zeta_prime0)
 
 
 def test_heat_integral_window_invariance():

@@ -34,6 +34,7 @@ NAN, INF = math.nan, math.inf
     (mass_shift_prefactor, (SPHERE, 1.0, NAN), "m1sq"),
     (measure_estimates, (SPHERE, NAN, 1.0, 42.0, 100, 1), "m0"),
     (measure_estimates, (SPHERE, 1.0, INF, 42.0, 100, 1), "m1"),
+    (zeta_det, (SPHERE, INF), "msq"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_non_finite_mass_is_rejected_by_name(fn, args, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):

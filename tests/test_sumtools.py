@@ -39,7 +39,9 @@ def _per_panel_quadrature(fn, t_lo, t_hi, abs_tol=1e-12, n_lo=32, n_hi=48, max_s
         right = _panel_quad(fn, mid, b, n_lo, n_hi)
         panels[worst:worst + 1] = [[a, mid, left[1], left[0]], [mid, b, right[1], right[0]]]
         splits += 1
-    return (math.fsum(p[3] for p in panels), math.fsum(p[2] for p in panels),
+    # the reported bound adds a rounding floor of 4 ulps of the summed |values|
+    floor = 4.0 * np.finfo(float).eps * math.fsum(abs(p[3]) for p in panels)
+    return (math.fsum(p[3] for p in panels), math.fsum(p[2] for p in panels) + floor,
             [(p[0], p[1]) for p in panels], splits)
 
 
