@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .green import det2, gamma0
-from .heat import _check_mass, heat_integral
+from .heat import _check_mass, _exp, heat_integral
 from .sumtools import neville_zero
 from .surfaces import SurfaceModel
 from .zeta import laurent_fit, zeta_det
@@ -67,14 +67,6 @@ class AnomalyReport:
             "budget_breakdown": self.budget_breakdown,
             "pass": self.passed,
         }
-
-
-def _exp(x: float, fn=math.exp) -> float:
-    """fn(x) for an exponential fn, with inf where the result overflows."""
-    try:
-        return fn(x)
-    except OverflowError:
-        return math.inf
 
 
 def verify_anomaly(model: SurfaceModel, m0sq: float, m1sq: float,

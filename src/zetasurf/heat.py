@@ -28,8 +28,8 @@ that returns the massless excess
 
     E(t) = theta_Delta(t) - a_{-1}/t - chi/6
 
-without cancellation: at t = 1e-5 the sphere's theta is ~1e5, a sum over
-~2300 levels, and subtracting R^2/t from it would leave only rounding noise.
+without cancellation: at small t the sphere's theta is a sum over thousands
+of levels, and subtracting R^2/t from it would leave only rounding noise.
 Small t is handled in closed form on both surfaces:
 
 * Sphere, x = t/R^2 < 0.05.  Euler-Maclaurin applied to the midpoint sum
@@ -47,29 +47,29 @@ Small t is handled in closed form on both surfaces:
   int_0^inf |f^(31)| <= sqrt(pi 2^30 32!) x^{14.5} by Cauchy-Schwarz on the
   Hermite function H_32 e^{-v^2}; with the truncated tail of the e^{x/4}
   product the total is below 1.5e-21 at the switch x = 0.05 (the first
-  omitted term is 2.6e-23 there).  Above the switch the direct sum needs at
-  most 33 levels, and E is an O(1) difference.
+  omitted term is 2.6e-23 there).
 * Torus, t < 0.1 min(L1, L2)^2.  Poisson resummation gives
   theta = (A/4 pi t) sigma_1 sigma_2 with sigma_i = 1 + s_i,
   s_i = 2 sum_{a>=1} e^{-a^2 L_i^2/4t}, so E = (A/4 pi t)(s_1 + s_2 + s_1 s_2).
 
-Above the switch both surfaces take the same direct level sum over
-`eigen_arrays`, cut where e^{-t lambda} falls below e^-52 at the switch
-point.  Every t above it sums those same lines, one numpy row reduction per
-t, so the value at t does not depend on the other points of a batch: the
-elementwise contract of `log_quadrature`, which evaluates a whole pass of
-panels in one call.  Below the switch the torus image sum keeps the images
-that matter at the switch point, the same ones for every t, so it too is a
-function of t alone, bit for bit.
+Above the switch the sphere sums its `eigen_arrays` levels (at most 33) and
+the torus multiplies its two 1-D Jacobi sums theta_i = 1 + 2 sum_{p>=1}
+e^{-t (2 pi p/L_i)^2}, each cut where e^{-t lambda} falls below e^-52 at the
+switch point; there E is an O(1) difference that carries at most 4 ulps of
+a_{-1}/t, which both integrals' bounds count.  Every t sums the same terms,
+one numpy row reduction per t, and below the switch the torus keeps the
+images that matter at the switch point, so E at t does not depend on the
+other points of a batch, bit for bit: the elementwise contract of
+`log_quadrature`, which evaluates a whole pass of panels in one call.
 
 E table.  Because the mass factorizes, every quadrature needs only the
 massless E, and `log_quadrature` puts its nodes on one log-t lattice for
-every window that ends on it (`sumtools`).  `_weyl_excess` therefore keeps
-one table of E per surface, keyed by the exact float t and looked up with
-`searchsorted`; only the t it lacks go through the branches above.  As E(t)
-depends on t alone, a warm table returns the values a cold one would
-compute.  Each update replaces the surface's (t, E) arrays in one
-assignment, so a reader never sees one without the other.  The table holds
+every window whose ends lie on it (`sumtools`).  `_weyl_excess` therefore
+keeps one table of E at the quadrature nodes per surface, a (2, n) array of
+the exact float t over E, read with `searchsorted`; the t it lacks go through
+the branches above and are merged in at once.  The single-point tails at
+t_hi bypass it.  As E(t) depends on t alone, a warm table returns the values
+a cold one would compute, and each update is one assignment.  The table holds
 at most _EXCESS_CAP = 2^18 nodes over all surfaces (4 MB).  Once a batch's
 new nodes would exceed that, the other surfaces' tables are cleared, as the
 result memos are; a surface whose own table would exceed it is not stored.
@@ -84,9 +84,22 @@ integral in `zeta`, e^{-y} (chi/6 + E) is the `heat_integral` integrand, and
 the trace itself is theta_E = e^{-y} (a_{-1}/t + chi/6 + E).  So a new mass
 costs only its factors e^{-y} and expm1(-y) and the panel sums.
 
-The upper ends of the default windows lie on the lattice: e^k for the least
-integer k with e^k >= 52/m^2 here, and likewise in `zeta`.  The tail bounds
-are taken at that end.
+Closed form on [0, T].  Both integrals start their quadrature at T = e^k,
+the greatest such point at most the window's end and 0.05 R^2 (sphere) or
+min(L1, L2)^2/160 (torus), and take [0, T] in closed form.  With Y = m^2 T,
+g_j(Y) = int_0^1 v^{j-1} e^{-Yv} dv = gamma(j, Y)/Y^j and Ein (A&S 5.1),
+
+    int_0^T (theta_E - a_{-1}/t - a_0) dt/t
+        = a_{-1} m^2 [Ein(Y) - (e^{-Y} - 1 + Y)/Y] - (chi/6) Ein(Y) + sum_j d_j (T/R^2)^j g_j(Y),
+    int_0^T e^{-y} (chi/6 + E) dt = T [(chi/6) g_1(Y) + sum_j d_j (T/R^2)^j g_{j+1}(Y)],
+
+from power series at Y <= 1 (no cancellation, exact at m = 0), else from
+`gammainc` and E_1(Y) + ln Y + gamma.  On the torus (chi = 0) E below T is
+the image terms, each below e^-40, so the d_j terms give way to the bound
+int_0^T E dt/t <= 2.1 a_{-1} sum_i e^{-c_i/T}/c_i, c_i = L_i^2/4.  Each piece adds 64 ulps of
+its summed |terms|.  The default windows end at e^k for the least integer k
+with e^k >= 52/m^2 here (and likewise in `zeta`), where the tail bounds are
+taken.
 
 `heat_integral` remembers its results per (model, m^2, abs_tol, t_lo, t_hi),
 as `zeta_det` does per (model, m^2, n0, t_star); both memos are cleared once
@@ -94,15 +107,16 @@ they hold _MEMO_CAP entries.  A remembered result is shared, not copied.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import zeta as _zeta
+from scipy.special import exp1 as _exp1, gamma as _gamma, gammainc as _gammainc, zeta as _zeta
 
-from .sumtools import _EPS, _lattice_ceil, log_quadrature
-from .surfaces import SurfaceModel, eigen_arrays
+from .sumtools import _EPS, QuadratureResult, _lattice_ceil, log_quadrature
+from .surfaces import _FOUR_PI_SQ, SurfaceModel, eigen_arrays
 
 __all__ = ["HeatCoeffs", "HeatIntegral", "heat_coeffs", "heat_trace", "heat_integral"]
 
@@ -112,11 +126,11 @@ _EXP_CUT = 52.0  # e^-52 ~ 2.6e-23: relative truncation floor for trace sums
 # heat_integral and one of zeta_det together take about 2.2 KB.
 _MEMO_CAP = 4096
 _HEAT_MEMO: dict[tuple, HeatIntegral] = {}
-# E(t) per surface, as (sorted t, E) arrays; cleared once it would hold more
-# than _EXCESS_CAP nodes over all surfaces (16 bytes each: 4 MB)
-_EXCESS: dict[SurfaceModel, tuple[np.ndarray, np.ndarray]] = {}
+# E(t) per surface, a (2, n) array of sorted t over E; cleared once it would
+# hold more than _EXCESS_CAP nodes over all surfaces (16 bytes each: 4 MB)
+_EXCESS: dict[SurfaceModel, np.ndarray] = {}
 _EXCESS_CAP = 1 << 18
-_NO_EXCESS = (np.empty(0), np.empty(0))
+_NO_EXCESS = np.empty((2, 0))
 
 
 def _remember(memo: dict, key: tuple, value) -> None:
@@ -130,6 +144,14 @@ def _remember(memo: dict, key: tuple, value) -> None:
 class HeatCoeffs:
     a_minus1: float
     a_0: float
+
+
+def _exp(x: float, fn=math.exp) -> float:
+    """fn(x) for an exponential fn, with inf where the result overflows."""
+    try:
+        return fn(x)
+    except OverflowError:
+        return math.inf
 
 
 def _check_mass(name: str, value: float, positive: bool = True) -> None:
@@ -149,18 +171,25 @@ def heat_coeffs(model: SurfaceModel, msq: float) -> HeatCoeffs:
 # ------------------------------------------------------------- trace engine
 
 def _theta_direct(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
-    """Massless trace as the level sum, cut at the e^-52 relative floor of
-    min(t, switch point): elementwise in t above the switch (module docstring)."""
-    lams, mults = eigen_arrays(model, _EXP_CUT / min(_switch(model), float(np.min(t))))
-    out = np.empty_like(t)
-    # chunk over t to keep the (t, line) matrix modest
-    step = max(1, int(4e6 // max(1, lams.size)))
-    for i in range(0, t.size, step):
-        terms = np.outer(t[i:i + step], -lams)
-        np.exp(terms, out=terms)
-        terms *= mults
-        out[i:i + step] = terms.sum(axis=1)
-    return out
+    """Massless trace cut at the e^-52 relative floor of min(t, switch point):
+    elementwise in t above the switch (module docstring).  The sphere sums its
+    levels; the torus multiplies its two 1-D Jacobi sums
+    theta_i = 1 + 2 sum_{p>=1} e^{-t (2 pi p / L_i)^2}."""
+    lam_max = _EXP_CUT / min(_switch(model), float(t.min()))
+    if model.kind == "sphere":
+        lams, mults = eigen_arrays(model, lam_max)
+        return (np.exp(np.outer(t, -lams)) * mults).sum(axis=1)
+    exponents, starts = _jacobi_exponents(model.l1, model.l2, lam_max)
+    sums = np.add.reduceat(np.exp(t[:, None] * exponents), starts, axis=1)
+    return (1.0 + 2.0 * sums[:, 0]) * (1.0 + 2.0 * sums[:, 1])
+
+
+@functools.lru_cache(maxsize=1024)
+def _jacobi_exponents(l1: float, l2: float, lam_max: float):
+    """-(2 pi p/L)^2 >= -lam_max, p >= 1, for L1 then L2, and where each starts."""
+    runs = [-(_FOUR_PI_SQ / (x * x)) * np.arange(
+        1.0, math.floor(math.sqrt(lam_max) * x / (2.0 * math.pi)) + 1.0) ** 2 for x in (l1, l2)]
+    return np.concatenate(runs), (0, runs[0].size)
 
 
 def _image_sum(length: float, t_cut: float, t: np.ndarray) -> np.ndarray:
@@ -222,40 +251,47 @@ def _small_t_excess(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
     return model.area / (_FOUR_PI * t) * (s1 + s2 + s1 * s2)
 
 
-def _by_branch(model: SurfaceModel, t: np.ndarray, small, direct) -> np.ndarray:
-    """small(t) below the model's switch point, direct(t) above it."""
+def _excess_at(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
+    """E(t) from the branches, without the table: the series or the images
+    below the model's switch point, the direct sum above it."""
     below = t < _switch(model)
-    n_below = np.count_nonzero(below)
-    if n_below == t.size:
-        return small(t)
-    if n_below == 0:
-        return direct(t)
+    if below.all():
+        return _small_t_excess(model, t)
+    a_m1, a_0 = model.area / _FOUR_PI, model.euler_char / 6.0
+    if not below.any():
+        return _theta_direct(model, t) - a_m1 / t - a_0
     out = np.empty_like(t)
-    out[below] = small(t[below])
-    out[~below] = direct(t[~below])
+    out[below] = _small_t_excess(model, t[below])
+    above = t[~below]
+    out[~below] = _theta_direct(model, above) - a_m1 / above - a_0
     return out
 
 
 def _weyl_excess(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
     """E(t) = theta_Delta(t) - a_{-1}/t - chi/6, without cancellation, read
     from the surface's table; the t it lacks are computed and stored."""
-    keys, vals = _EXCESS.get(model, _NO_EXCESS)
-    at = np.searchsorted(keys, t)
-    hit = at < keys.size
-    hit[hit] = keys[at[hit]] == t[hit]
-    if hit.all():
-        return vals[at]
-    fresh = np.unique(t[~hit])
-    a_m1, a_0 = model.area / _FOUR_PI, model.euler_char / 6.0
-    excess = _by_branch(model, fresh, lambda ts: _small_t_excess(model, ts),
-                        lambda ts: _theta_direct(model, ts) - a_m1 / ts - a_0)
-    at = np.searchsorted(keys, fresh)
-    keys, vals = np.insert(keys, at, fresh), np.insert(vals, at, excess)
-    if sum(k.size for k, _ in _EXCESS.values()) + fresh.size > _EXCESS_CAP:
+    table = _EXCESS.get(model, _NO_EXCESS)
+    at = np.searchsorted(table[0], t)
+    if table.shape[1]:
+        near = np.minimum(at, table.shape[1] - 1)
+        out, miss = table[1, near], table[0, near] != t
+        if not miss.any():
+            return out
+    else:
+        out, miss = np.empty_like(t), np.ones(t.size, dtype=bool)
+    out[miss] = excess = _excess_at(model, t[miss])
+    # one merge: the i-th new node, in order, goes to its insertion point plus i
+    fresh, first = np.unique(t[miss], return_index=True)
+    put = at[miss][first] + np.arange(fresh.size)
+    kept = np.ones(table.shape[1] + fresh.size, dtype=bool)
+    kept[put] = False
+    merged = np.empty((2, kept.size))
+    merged[:, kept], merged[0, put], merged[1, put] = table, fresh, excess[first]
+    if sum(tab.shape[1] for tab in _EXCESS.values()) + fresh.size > _EXCESS_CAP:
         _EXCESS.clear()
-    if keys.size <= _EXCESS_CAP:
-        _EXCESS[model] = keys, vals   # one assignment: readers see a matching pair
-    return vals[np.searchsorted(keys, t)]
+    if merged.shape[1] <= _EXCESS_CAP:
+        _EXCESS[model] = merged   # one assignment: readers see a matching pair
+    return out
 
 
 def _series_bound(model: SurfaceModel, t_hi: float) -> float:
@@ -271,6 +307,55 @@ def _series_bound(model: SurfaceModel, t_hi: float) -> float:
     return _SERIES_REM * x_hi ** power / power
 
 
+def _closed_form_top(model: SurfaceModel) -> float:
+    """Where the closed form of [0, t] ends (module docstring)."""
+    return _switch(model) / (1.0 if model.kind == "sphere" else 16.0)
+
+
+def _closed_form_end(model: SurfaceModel, t_end: float) -> float:
+    """T = e^k, the greatest at most t_end and _closed_form_top (module docstring)."""
+    top = min(t_end, _closed_form_top(model))
+    k = math.floor(math.log(top))
+    return math.exp(k) if math.exp(k) <= top else math.exp(k - 1)
+
+
+_J = np.arange(1.0, _SERIES_TERMS + 2.0)          # j = 1..15
+# at y <= 1, over p_k = (-y)^k/k!, k <= 25 (the next term is below 1e-26), one
+# row each: g_j = sum_k p_k/(j+k), Ein = -sum_k p_k/k, h = -sum_k p_k/(k(k+1))
+_K = np.arange(26.0)
+_INV_FACT = np.array([1.0 / math.factorial(k) for k in range(26)])
+_ROWS = np.vstack([1.0 / (_J[:, None] + _K), np.r_[0.0, -1.0 / _K[1:]],
+                   np.r_[0.0, -1.0 / (_K[1:] * (_K[1:] + 1.0))]])
+
+
+def _g_ein(y: float):
+    """g_1..g_15, Ein and h = Ein(y) - (e^{-y} - 1 + y)/y at y (module docstring)."""
+    if y <= 1.0:
+        rows = (_ROWS * (np.power(-y, _K) * _INV_FACT)).sum(axis=1)
+        return rows[:-2], float(rows[-2]), float(rows[-1])
+    with np.errstate(over="ignore"):   # y^j past the float range: g_j = 0
+        g = _gammainc(_J, y) * _gamma(_J) / y ** _J
+    ein = float(_exp1(y)) + math.log(y) + float(np.euler_gamma)
+    return g, ein, ein - (math.expm1(-y) + y) / y
+
+
+def _small_t_pieces(model: SurfaceModel, msq: float, t_end: float):
+    """The Mellin F and heat integrals over [0, t_end] in closed form, as
+    (F, its bound, heat, its bound) (module docstring)."""
+    a_m1, c0 = model.area / _FOUR_PI, model.euler_char / 6.0
+    g, ein, h = _g_ein(msq * t_end)
+    if model.kind == "torus":   # chi = 0, and E is the image terms
+        image = 2.1 * a_m1 * sum(4.0 / (x * x) * math.exp(-x * x / (4.0 * t_end))
+                                 for x in (model.l1, model.l2))
+        f = a_m1 * msq * h
+        return f, image + 64.0 * _EPS * abs(f), 0.0, t_end * image
+    dx = _SERIES_COEFFS * (t_end / (model.radius * model.radius)) ** _J[:-1]
+    f_terms = np.concatenate(([a_m1 * msq * h, -c0 * ein], dx * g[:-1]))
+    heat_terms = t_end * np.concatenate(([c0 * g[0]], dx * g[1:]))
+    return (math.fsum(f_terms), 64.0 * _EPS * float(np.abs(f_terms).sum()),
+            math.fsum(heat_terms), 64.0 * _EPS * float(np.abs(heat_terms).sum()))
+
+
 def _remainder(model: SurfaceModel, msq: float, t: np.ndarray) -> np.ndarray:
     """theta_E(t) - a_{-1}/t - a_0, without cancellation (module docstring)."""
     y = msq * t
@@ -279,10 +364,10 @@ def _remainder(model: SurfaceModel, msq: float, t: np.ndarray) -> np.ndarray:
             + np.exp(-y) * _weyl_excess(model, t))
 
 
-def _theta(model: SurfaceModel, msq: float, t: np.ndarray) -> np.ndarray:
-    """theta_E(t) = e^{-m^2 t} (a_{-1}/t + chi/6 + E(t))."""
-    return np.exp(-msq * t) * (model.area / (_FOUR_PI * t) + model.euler_char / 6.0
-                               + _weyl_excess(model, t))
+def _theta(model: SurfaceModel, msq: float, t: np.ndarray, table: bool = True) -> np.ndarray:
+    """theta_E(t) = e^{-m^2 t} (a_{-1}/t + chi/6 + E(t)); the tails skip the table."""
+    excess = _weyl_excess(model, t) if table else _excess_at(model, t)
+    return np.exp(-msq * t) * (model.area / (_FOUR_PI * t) + model.euler_char / 6.0 + excess)
 
 
 def heat_trace(model: SurfaceModel, msq: float, t):
@@ -311,10 +396,10 @@ def heat_integral(model: SurfaceModel, msq: float, abs_tol: float = 1e-8,
                   t_lo: float | None = None, t_hi: float | None = None) -> HeatIntegral:
     """Finite part of the resolvent trace at s = 0 (see module docstring).
 
-    t_lo/t_hi override the quadrature window, by default [1e-5, e^k] with k
-    the least integer with e^k >= 52/m^2 (module docstring); the certified
-    bound covers the analytic remainders outside it, so the value is
-    window-independent within the reported bound.
+    t_lo/t_hi override the quadrature window, by default [T, e^k] (module
+    docstring); [0, t_lo] is taken in closed form, so t_lo may not pass
+    _closed_form_top.  The certified bound covers the analytic remainders
+    outside the window, so the value is window-independent within it.
     """
     _check_mass("msq", msq, positive=False)
     if msq == 0.0:
@@ -323,13 +408,16 @@ def heat_integral(model: SurfaceModel, msq: float, abs_tol: float = 1e-8,
             "anomaly.verify_massless (primed determinant with the zero mode removed)")
     if not (0.0 < abs_tol <= 1e-4):
         raise ValueError("abs_tol must lie in (0, 1e-4]")
-    if t_lo is None:
-        t_lo = 1e-5
     if t_hi is None:
         t_hi = _lattice_ceil(_EXP_CUT / msq)
-    if not (0.0 < t_lo < t_hi < math.inf):
-        raise ValueError(f"heat_integral needs 0 < t_lo < t_hi < inf, "
+    if t_lo is None:
+        t_lo = _closed_form_end(model, t_hi)
+    if not (0.0 < t_lo <= t_hi < math.inf):
+        raise ValueError(f"heat_integral needs 0 < t_lo <= t_hi < inf, "
                          f"got t_lo={t_lo!r}, t_hi={t_hi!r}")
+    if t_lo > _closed_form_top(model):
+        raise ValueError(f"t_lo={t_lo!r} is past {_closed_form_top(model):.6g}, where "
+                         f"the closed form of [0, t_lo] ends on {model.label()}")
     key = (model, msq, abs_tol, t_lo, t_hi)
     result = _HEAT_MEMO.get(key)
     if result is None:
@@ -338,17 +426,12 @@ def heat_integral(model: SurfaceModel, msq: float, abs_tol: float = 1e-8,
         def integrand(t: np.ndarray) -> np.ndarray:
             return np.exp(-msq * t) * (model.euler_char / 6.0 + _weyl_excess(model, t))
 
-        quad = log_quadrature(integrand, t_lo, t_hi, abs_tol=min(abs_tol * 1e-2, 1e-11))
-
-        # [0, t_lo]: integrand -> chi/6 + O(t); trapezoid with measured slope bound
-        w0 = model.euler_char / 6.0
-        w_lo, w_half = integrand(np.array([t_lo, 0.5 * t_lo])).tolist()
-        small_corr = 0.5 * t_lo * (w0 + w_lo)
-        slope = abs(w_lo - w_half) / (0.5 * t_lo)
-        small_bound = (abs(w_half - 0.5 * (w0 + w_lo)) + slope * t_lo) * t_lo
+        quad = (log_quadrature(integrand, t_lo, t_hi, abs_tol=min(abs_tol * 1e-2, 1e-11))
+                if t_lo < t_hi else QuadratureResult(0.0, 0.0))
+        _, _, closed, closed_bound = _small_t_pieces(model, msq, t_lo)   # [0, t_lo]
 
         # [t_hi, inf): both terms decay at least like e^{-msq t}
-        theta_hi = float(_theta(model, msq, np.array([t_hi]))[0])
+        theta_hi = float(_theta(model, msq, np.array([t_hi]), table=False)[0])
         ref_hi = (a_m1 / t_hi) * math.exp(-msq * t_hi)
         tail_bound = (theta_hi + ref_hi) / msq
 
@@ -357,13 +440,16 @@ def heat_integral(model: SurfaceModel, msq: float, abs_tol: float = 1e-8,
         series_bound = min(t_hi, _switch(model)) * _series_bound(model, t_hi)
 
         log_term = a_m1 * math.log(msq)
-        value = quad.value + small_corr - log_term
-        # rounding of log_term and of the two additions
-        assembly = 2.0 * _EPS * (abs(log_term) + abs(value))
-        bound = quad.err_bound + small_bound + tail_bound + series_bound + assembly
+        value = quad.value + closed - log_term
+        # rounding: of log_term and the additions; of E above the switch (4 ulps
+        # of a_{-1}/t); and 8 ulps of a_{-1}, which a change of unit c moves
+        # the value by times ln c^2 (log_term is 0 only in the unit where m = 1)
+        assembly = (2.0 * _EPS * (abs(log_term) + abs(value))
+                    + 4.0 * _EPS * a_m1 * (2.0 + float(_exp1(msq * _switch(model)))))
+        bound = quad.err_bound + closed_bound + tail_bound + series_bound + assembly
         profile = quad.profile()
-        profile.update({"t_lo": t_lo, "t_hi": t_hi, "small_t_correction": small_corr,
-                        "small_t_bound": small_bound, "tail_bound": tail_bound,
+        profile.update({"t_lo": t_lo, "t_hi": t_hi, "small_t_correction": closed,
+                        "small_t_bound": closed_bound, "tail_bound": tail_bound,
                         "series_bound": series_bound, "assembly_bound": assembly})
         result = HeatIntegral(value=value, abs_error_bound=bound, quadrature_profile=profile)
         _remember(_HEAT_MEMO, key, result)

@@ -13,8 +13,12 @@ which gives the closed assembly at s = 0:
     zeta(0)  = a0~ = a0 - n0,
     zeta'(0) = F(0) + G(0) - a_{-1}/t* + a0~ ln t* + gamma_E a0~,
 
-so the determinant error budget is purely quadrature plus tail bounds; no
-numerical s-differentiation is involved.  det_zeta = exp(-zeta'(0)).
+F(0) takes [0, T] in closed form and [T, t*] by quadrature, with T = e^k
+below the surface's switch point (`heat` docstring); G(0) is a quadrature up
+to a lattice point t_hi plus a tail bound.  So the determinant error budget
+is closed-form, quadrature, tail and rounding bounds; no numerical
+s-differentiation is involved.  det_zeta = exp(-zeta'(0)), inf once that
+overflows.
 
 Trace route (independent of the quadrature machinery): tr C^{s+1} is summed
 directly over the spectrum with closed-form integral tails plus second-order
@@ -30,9 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import beta as _beta_fn, betainc as _betainc, gammaln as _gammaln
 
-from .heat import (_EXP_CUT, _check_mass, _remainder, _remember, _series_bound, _theta,
-                   heat_coeffs)
-from .sumtools import _lattice_ceil, log_quadrature, stable_sum
+from .heat import (_EXP_CUT, _check_mass, _closed_form_end, _exp, _remainder, _remember,
+                   _series_bound, _small_t_pieces, _switch, _theta, heat_coeffs)
+from .sumtools import _EPS, QuadratureResult, _lattice_ceil, log_quadrature, stable_sum
 from .surfaces import SurfaceModel, first_positive_eigenvalue
 
 __all__ = [
@@ -45,7 +49,6 @@ __all__ = [
 ]
 
 _EULER = float(np.euler_gamma)
-_T_LO = 1e-5
 # (zeta0, zeta'(0), bound) per (model, msq, n0, t_star); capped like heat's memo
 _ZETA_MEMO: dict[tuple, tuple[float, float, float]] = {}
 
@@ -83,14 +86,15 @@ def _mellin_pieces(model: SurfaceModel, msq: float, n0: int, t_star: float):
         # (theta~ - a_{-1}/t - a0~)/t; the zero-mode shift cancels in a0~.
         return _remainder(model, msq, t) / t
 
-    quad_f = log_quadrature(rho, _T_LO, t_star, abs_tol=1e-12)
-    rho_lo, rho_half = rho(np.array([_T_LO, 0.5 * _T_LO])).tolist()
-    f0 = quad_f.value + rho_lo * _T_LO
-    # [0, t_lo] remainder: rho is a1 + O(t); slope measured, then doubled
-    f_small_bound = 4.0 * abs(rho_lo - rho_half) * _T_LO
-    # rounding floor of the subtracted trace values on the log grid
-    f_round = 4e-16 * a_m1 / _T_LO
-    f_bound = quad_f.err_bound + f_small_bound + f_round + _series_bound(model, t_star)
+    # [0, T] in closed form, [T, t*] by quadrature
+    t_lo = _closed_form_end(model, t_star)
+    f_closed, f_closed_bound, _, _ = _small_t_pieces(model, msq, t_lo)
+    quad_f = (log_quadrature(rho, t_lo, t_star, abs_tol=1e-12) if t_lo < t_star
+              else QuadratureResult(0.0, 0.0))
+    f0 = f_closed + quad_f.value
+    # E above the switch s carries at most 4 ulps of a_{-1}/t: int_s^t* dt/t^2
+    e_rounding = 4.0 * _EPS * a_m1 * max(0.0, 1.0 / _switch(model) - 1.0 / t_star)
+    f_bound = f_closed_bound + quad_f.err_bound + e_rounding + _series_bound(model, t_star)
 
     mu = msq + (first_positive_eigenvalue(model) if n0 else 0.0)
     # on the log-t lattice, so that every mass reads the same table nodes
@@ -100,7 +104,7 @@ def _mellin_pieces(model: SurfaceModel, msq: float, n0: int, t_star: float):
         return (_theta(model, msq, t) - n0) / t
 
     quad_g = log_quadrature(theta_over_t, t_star, t_hi, abs_tol=1e-12)
-    theta_hi = float(_theta(model, msq, np.array([t_hi]))[0]) - n0
+    theta_hi = float(_theta(model, msq, np.array([t_hi]), table=False)[0]) - n0
     g_tail = abs(theta_hi) / (mu * t_hi)
     g0 = quad_g.value
     g_bound = quad_g.err_bound + g_tail
@@ -116,24 +120,28 @@ def zeta_det(model: SurfaceModel, msq: float, exclude_zero_mode: bool = False,
                          "(zeta is undefined with the zero mode included)")
     if not (0.0 < tol <= 1e-4):
         raise ValueError("tol must lie in (0, 1e-4]")
-    if not (_T_LO < t_star < math.inf):
-        raise ValueError(f"t_star must lie in ({_T_LO:g}, inf), got {t_star!r}")
+    # past 1e300 the G window's end e^k >= 2 t* leaves the float range
+    if not (0.0 < t_star <= 1e300):
+        raise ValueError(f"t_star must lie in (0, 1e300], got {t_star!r}")
     n0 = 1 if (exclude_zero_mode and msq == 0.0) else 0
     key = (model, msq, n0, t_star)
     entry = _ZETA_MEMO.get(key)
     if entry is None:
         f0, f_bound, g0, g_bound, a_m1, a_0 = _mellin_pieces(model, msq, n0, t_star)
         a0t = a_0 - n0
-        zeta_prime0 = f0 + g0 - a_m1 / t_star + a0t * math.log(t_star) + _EULER * a0t
-        entry = (a0t, zeta_prime0, f_bound + g_bound)
+        terms = (f0, g0, -a_m1 / t_star, a0t * math.log(t_star), _EULER * a0t)
+        zeta_prime0 = math.fsum(terms)
+        # rounding of each term and of a_{-1}
+        assembly = 4.0 * _EPS * math.fsum(abs(x) for x in terms)
+        entry = (a0t, zeta_prime0, f_bound + g_bound + assembly)
         _remember(_ZETA_MEMO, key, entry)
     a0t, zeta_prime0, bound = entry
     # tol only gates the result, so a remembered one is checked on every call
     if not (bound <= tol):
         raise ValueError(f"zeta_det bound {bound:.3e} exceeds tol {tol:.3e}")
-    return ZetaResult(zeta0=a0t, zeta_prime0=zeta_prime0,
-                      det_zeta=math.exp(-zeta_prime0), err_bound=bound,
-                      excluded_zero_modes=n0)
+    # det_zeta is inf once zeta'(0) < -709.78; zeta_prime0 stays its certified log
+    return ZetaResult(zeta0=a0t, zeta_prime0=zeta_prime0, det_zeta=_exp(-zeta_prime0),
+                      err_bound=bound, excluded_zero_modes=n0)
 
 
 # ------------------------------------------------------ direct trace engine

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from zetasurf import (heat, heat_coeffs, heat_integral, heat_trace, make_surface,
+from zetasurf import (eigen_arrays, heat, heat_coeffs, heat_integral, heat_trace, make_surface,
                       parse_surface, torus_cf_image_sum, zeta_det)
 from zetasurf.heat import (_SERIES_COEFFS, _SERIES_REM, _remainder, _small_t_excess,
                            _theta_direct, _weyl_excess)
@@ -195,3 +195,58 @@ def test_quadrature_profile_reports_split_budget():
     assert quad.profile()["splits"] == 3 and len(quad.panels) == 7 + 3
     profile = heat_integral(SPHERE, 1.0).quadrature_profile
     assert profile["splits"] < profile["max_splits"] == 60
+
+
+def _gauss_legendre_0_to(t_end, fn, n):
+    """Composite n-point Gauss-Legendre of fn over [0, t_end], on the dyadic
+    panels [t_end 2^-(k+1), t_end 2^-k] for k < 60 and [0, t_end 2^-60].  fn
+    returns the integrand and the summed |parts| it was formed from; the
+    second result is 8 ulps of the integral of those."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    edges = np.concatenate([[0.0], t_end * 2.0 ** -np.arange(60.0, -1.0, -1.0)])
+    half = 0.5 * np.diff(edges)[:, None]
+    t = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half * x
+    value, parts = fn(t.ravel())
+    weights = (half * w).ravel()
+    return math.fsum(weights * value), 8.0 * np.finfo(float).eps * float(np.sum(weights * parts))
+
+
+@pytest.mark.parametrize("model", [SPHERE, make_surface("sphere", R=0.3), TORUS,
+                                   make_surface("torus", L1=3, L2=0.5)],
+                         ids=["sphere-1", "sphere-0.3", "torus-1x1", "torus-3x0.5"])
+@pytest.mark.parametrize("msq", [0.0, 1e-12, 0.25, 4.0, 1e4])
+def test_closed_form_small_t_pieces_match_gauss_legendre(model, msq):
+    # int_0^T of the Mellin F integrand (theta_E - a_{-1}/t - a_0)/t and of the
+    # heat integrand e^{-y}(chi/6 + E), with E from _small_t_excess (the series,
+    # or the torus images the closed form bounds), T = e^k as zeta_det takes it
+    t_end = heat._closed_form_end(model, 1.0)
+    f, f_bound, h, h_bound = heat._small_t_pieces(model, msq, t_end)
+    a_m1, c0 = model.area / (4 * PI), model.euler_char / 6.0
+
+    def f_integrand(t):
+        y = msq * t
+        em1, excess = np.expm1(-y), np.exp(-y) * _small_t_excess(model, t)
+        parts = ((np.abs(em1) + y) * a_m1 / t + np.abs(em1 * c0) + np.abs(excess)) / t
+        return ((em1 + y) * a_m1 / t + em1 * c0 + excess) / t, parts
+
+    def heat_integrand(t):
+        value = np.exp(-msq * t) * (c0 + _small_t_excess(model, t))
+        return value, np.abs(value)
+
+    for closed, bound, fn in ((f, f_bound, f_integrand), (h, h_bound, heat_integrand)):
+        coarse, _ = _gauss_legendre_0_to(t_end, fn, 20)
+        fine, rounding = _gauss_legendre_0_to(t_end, fn, 40)
+        assert abs(closed - fine) <= bound + abs(fine - coarse) + rounding
+
+
+@pytest.mark.parametrize("l1, l2", [(1.0, 1.0), (1.5, 0.7), (3.0, 0.5), (0.5, 3.0),
+                                    (6.0, 1.0), (1.0, 6.0), (2.1, 1.37)])
+def test_torus_theta_product_matches_the_line_sum(l1, l2):
+    # above the switch theta = theta_1 theta_2, each 1-D sum cut at the e^-52
+    # floor of the switch, against the exactly rounded 2-D line sum
+    model = make_surface("torus", L1=l1, L2=l2)
+    switch = heat._switch(model)
+    t = switch * np.geomspace(1.0, 500.0, 40)
+    lams, mults = eigen_arrays(model, heat._EXP_CUT / switch)
+    line_sum = np.array([math.fsum((mults * np.exp(-x * lams)).tolist()) for x in t])
+    assert np.all(np.abs(_theta_direct(model, t) - line_sum) <= 4 * np.spacing(line_sum))

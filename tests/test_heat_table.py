@@ -61,20 +61,26 @@ def test_warm_table_gives_the_cold_values_bit_for_bit(surfaces, calls):
 def test_a_new_mass_on_a_warm_surface_computes_only_its_tail_point(model, monkeypatch):
     monkeypatch.setattr(heat, "_EXCESS", {})
     monkeypatch.setattr(zeta, "_ZETA_MEMO", {})
+    monkeypatch.setattr(heat, "_HEAT_MEMO", {})
     computed = []
-    by_branch = heat._by_branch
+    excess_at = heat._excess_at
 
-    def counted(m, t, small, direct):
+    def counted(m, t):
         computed.extend(t.tolist())
-        return by_branch(m, t, small, direct)
+        return excess_at(m, t)
 
-    monkeypatch.setattr(heat, "_by_branch", counted)
+    monkeypatch.setattr(heat, "_excess_at", counted)
     zeta_det(model, 0.5)
+    heat_integral(model, 0.5)
+    nodes = heat._EXCESS[model].shape[1]
     for msq in (1.0, 4.0):
         computed.clear()
         zeta_det(model, msq)
-        # G's window and tail point end at e^ceil(ln(52/m^2))
-        assert computed == [math.exp(math.ceil(math.log(52.0 / msq)))]
+        heat_integral(model, msq)
+        # G's and heat's windows and tail points end at e^ceil(ln(52/m^2)); each
+        # computes the tail point, and neither stores it
+        assert computed == [math.exp(math.ceil(math.log(52.0 / msq)))] * 2
+        assert heat._EXCESS[model].shape[1] == nodes
 
 
 def test_default_windows_end_on_the_lattice(monkeypatch):
@@ -98,9 +104,8 @@ def test_default_windows_end_on_the_lattice(monkeypatch):
     for t_lo, quad in quads:
         edges = quad.profile()["panel_edges"]
         assert edges[0] == math.log(t_lo)
-        # F and heat start at t = 1e-5; every other edge is k / 2^splits
-        inner = edges[1:] if t_lo == 1e-5 else edges
-        assert all((e * 2.0 ** quad.splits).is_integer() for e in inner)
+        # F and heat start at the closed form's end e^k; every edge is k / 2^splits
+        assert all((e * 2.0 ** quad.splits).is_integer() for e in edges)
 
 
 def test_table_stays_under_its_cap_and_clearing_keeps_every_value(monkeypatch):

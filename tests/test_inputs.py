@@ -46,11 +46,40 @@ def test_non_finite_mass_is_rejected_by_name(fn, args, name):
     (lambda: log_quadrature(np.exp, NAN, 1.0), "t_lo"),
     (lambda: heat_integral(SPHERE, 1.0, t_hi=INF), "t_hi"),
     (lambda: heat_integral(SPHERE, 1.0, t_lo=NAN), "t_lo"),
+    # [0, t_lo] is taken in closed form: the sphere's series ends at 0.05 R^2,
+    # the torus's image bound at min(L1, L2)^2 / 160
+    (lambda: heat_integral(SPHERE, 1.0, t_lo=0.06), "t_lo"),
+    (lambda: heat_integral(TORUS, 1.0, t_lo=0.01), "t_lo"),
     (lambda: zeta_det(SPHERE, 1.0, t_star=INF), "t_star"),
-    (lambda: zeta_det(SPHERE, 1.0, t_star=1e-6), "t_star"),
+    (lambda: zeta_det(SPHERE, 1.0, t_star=0.0), "t_star"),
+    (lambda: zeta_det(SPHERE, 1.0, t_star=1e301), "t_star"),
     (lambda: zeta_det(SPHERE, 1.0, t_star=NAN), "t_star"),
 ], ids=["log_quadrature-inf", "log_quadrature-nan", "heat_integral-inf", "heat_integral-nan",
-        "zeta_det-inf", "zeta_det-below-t_lo", "zeta_det-nan"])
+        "heat_integral-t_lo-past-series", "heat_integral-t_lo-past-images",
+        "zeta_det-inf", "zeta_det-zero", "zeta_det-past-1e300", "zeta_det-nan"])
 def test_infinite_or_misplaced_window_is_rejected_by_name(call, name):
     with pytest.raises(ValueError, match=name):
         call()
+
+
+@pytest.mark.parametrize("t_star", [1e-6, 0.05, 3.0])
+def test_any_split_point_gives_the_same_determinant(t_star):
+    # t_star accepts (0, 1e300]; the determinant does not depend on it
+    base = zeta_det(SPHERE, 1.0)
+    moved = zeta_det(SPHERE, 1.0, t_star=t_star)
+    assert abs(moved.zeta_prime0 - base.zeta_prime0) <= moved.err_bound + base.err_bound
+
+
+def test_heat_integral_window_inside_the_closed_form_range():
+    # the largest t_lo each surface accepts gives the default value within the bounds
+    for model, t_lo in ((SPHERE, 0.05), (TORUS, 1.0 / 160.0)):
+        base, moved = heat_integral(model, 1.0), heat_integral(model, 1.0, t_lo=t_lo)
+        assert abs(moved.value - base.value) <= moved.abs_error_bound + base.abs_error_bound
+
+
+def test_zeta_det_on_a_large_sphere_is_certified():
+    # zeta'(0) = -1e4 + ...: det_zeta = exp(-zeta'(0)) overflows to inf, and the
+    # certified zeta'(0) is its log
+    res = zeta_det(make_surface("sphere", R=100), 1.0)
+    assert res.err_bound <= 1e-8 and math.isfinite(res.zeta_prime0)
+    assert res.zeta_prime0 < -709.79 and res.det_zeta == INF

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zetasurf import (dirichlet_trace, heat_coeffs, heat_integral, laurent_fit,
-                      make_surface, residue_phase_space, zeta_det)
+                      make_surface, parse_surface, residue_phase_space, zeta_det)
 from zetasurf import heat, zeta
 from zetasurf.sumtools import stable_sum
 
@@ -197,13 +197,45 @@ def test_memo_shared_by_equal_surfaces():
 
 
 def test_memo_checks_tol_on_every_call():
-    # the bound is about 3.3e-5 here: inside tol = 1e-4, over the default 1e-8
-    res = zeta_det(SPHERE, 100.0, tol=1e-4)
-    assert 1e-5 < res.err_bound <= 1e-4
-    assert (SPHERE, 100.0, 0, 1.0) in zeta._ZETA_MEMO
+    # the bound is about 1.6e-7 here (80 ulps of zeta'(0) ~ 1e7): inside
+    # tol = 1e-4, over the default 1e-8
+    res = zeta_det(SPHERE, 1e6, tol=1e-4)
+    assert 1e-8 < res.err_bound <= 1e-4
+    assert (SPHERE, 1e6, 0, 1.0) in zeta._ZETA_MEMO
     with pytest.raises(ValueError, match="exceeds tol"):
-        zeta_det(SPHERE, 100.0)
-    assert zeta_det(SPHERE, 100.0, tol=1e-4) == res
+        zeta_det(SPHERE, 1e6)
+    assert zeta_det(SPHERE, 1e6, tol=1e-4) == res
+
+
+# The cases that raised at the default tol while [0, 1e-5] was a measured
+# trapezoid, with their bounds then: (m0^2, m1^2) through verify_anomaly, or m^2
+@pytest.mark.parametrize("spec, masses", [
+    ("sphere:R=1.5", (4.0, 2.0)),       # 1.51e-8
+    ("sphere:R=10", (1.0, 1.0)),        # 3.05e-8
+    ("sphere:R=0.5", (16.0,)),          # 2.64e-8
+    ("sphere:R=0.1", (1.0,)),           # 2.41e-8
+    ("sphere:R=1", (1.0, 50.0)),        # 4.33e-6
+    ("sphere:R=1", (100.0,)),           # 3.3e-5
+    ("sphere:R=1", (1e4,)),             # 32.1
+    ("torus:L1=0.01,L2=0.01", (1.0,)),  # 0.786
+])
+def test_zeta_det_certifies_at_the_default_tol(spec, masses):
+    model = parse_surface(spec)
+    for msq in (masses[0], sum(masses)):
+        assert zeta_det(model, msq).err_bound <= 1e-8
+
+
+# zeta_R'(-1) = 1/12 - ln A, A Glaisher's constant
+ZETA_R_PRIME_MINUS1 = -0.16542114370045092921
+
+
+@pytest.mark.parametrize("radius", [0.1, 1.0, 10.0, 100.0])
+def test_sphere_zeta_prime_at_the_quarter_mass(radius):
+    # at m^2 = 1/(4 R^2) the eigenvalues are (k + 1/2)^2 / R^2, with
+    # multiplicity 2k + 1: zeta'(0) = -(ln 2)/6 - 2 zeta_R'(-1) + (ln R^2)/12
+    res = zeta_det(make_surface("sphere", R=radius), 0.25 / radius ** 2)
+    exact = -math.log(2.0) / 6.0 - 2.0 * ZETA_R_PRIME_MINUS1 + math.log(radius ** 2) / 12.0
+    assert abs(res.zeta_prime0 - exact) <= res.err_bound
 
 
 def test_memos_never_exceed_cap(monkeypatch):
