@@ -5,8 +5,8 @@ identities relating them."""
 
 __version__ = "0.1.0"
 
-from .anomaly import (AnomalyReport, MasslessReport, mass_shift_prefactor,
-                      residue_phase_space, verify_anomaly, verify_massless)
+from .anomaly import (AnomalyReport, MasslessReport, mass_shift_prefactor, verify_anomaly,
+                      verify_massless)
 from .bessel import k0
 from .gff import MCEstimate, measure_estimates
 from .green import Det2Result, FinitePart, cf_mean, det2, gamma0, torus_cf_image_sum
@@ -24,6 +24,6 @@ __all__ = [
     "Det2Result", "FinitePart", "gamma0", "det2", "cf_mean",
     "torus_cf_image_sum", "k0",
     "AnomalyReport", "MasslessReport", "verify_anomaly",
-    "mass_shift_prefactor", "residue_phase_space", "verify_massless",
+    "mass_shift_prefactor", "verify_massless",
     "MCEstimate", "measure_estimates",
 ]

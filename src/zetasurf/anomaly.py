@@ -36,7 +36,6 @@ __all__ = [
     "MasslessReport",
     "verify_anomaly",
     "mass_shift_prefactor",
-    "residue_phase_space",
     "verify_massless",
 ]
 
@@ -111,15 +110,6 @@ def mass_shift_prefactor(model: SurfaceModel, m0: float, m1sq: float) -> float:
     """exp(m1^2 gamma0(m0) A / 2) = exp((A/4 pi) m1^2 (ln(m0/4) + gamma_E))."""
     _check_mass("m1sq", m1sq, positive=False)
     return math.exp(0.5 * m1sq * gamma0(m0) * model.area)
-
-
-def residue_phase_space(model: SurfaceModel) -> float:
-    """Residue of tr C^{s+1} from the cotangent-fiber integral.
-
-    The unit-coball fiber volume is pi per base point, so the phase-space
-    expression is (2 pi)^{-2} * pi * A = A / (4 pi), exact on these models.
-    """
-    return math.pi * model.area / (2.0 * math.pi) ** 2
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,15 @@ overflows.
 Trace route (independent of the quadrature machinery): tr C^{s+1} is summed
 directly over the spectrum with closed-form integral tails plus second-order
 Euler-Maclaurin corrections; for the torus the two lattice directions are
-peeled one at a time, each with its own certified tail.  A small-s Laurent
-fit of those values exposes the residue A/(4 pi) and the finite part.
+peeled one at a time, each with its own certified tail.  The pole of
+tr C^{s+1} at s = 0 lies wholly in those closed-form tails, so at s = 0 the
+same engine drops it and returns the s^0 coefficient, the finite part, with
+the same certified bound; the dropped pole is the residue A/(4 pi).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import beta as _beta_fn, betainc as _betainc, gammaln as _gammaln
@@ -72,7 +74,7 @@ class TraceResult:
 class LaurentFit:
     residue: float
     finite_part: float
-    fit_diagnostics: dict = field(default_factory=dict)
+    err_bound: float  # on finite_part
 
 
 # --------------------------------------------------------------- Mellin side
@@ -170,12 +172,14 @@ def _h_derivs(x: float, c, b: float, w: float):
     return h, hp, hppp, h4
 
 
-def _sum1d_tail(c, b: float, w: float, last: int):
+def _sum1d_tail(c, b: float, w: float, last: int, integral=None):
     """sum_{q > last} (c + b q^2)^{-w} with a certified bound (w > 1/2),
-    elementwise in c."""
+    elementwise in c: int_{last+1}^inf, or the given stand-in for it, plus
+    Euler-Maclaurin terms."""
     x = last + 1.0
-    x0 = x * np.sqrt(b / c)
-    integral = c ** (0.5 - w) / math.sqrt(b) * _psi_tail_integral(w, x0)
+    if integral is None:
+        x0 = x * np.sqrt(b / c)
+        integral = c ** (0.5 - w) / math.sqrt(b) * _psi_tail_integral(w, x0)
     h, hp, hppp, h4 = _h_derivs(x, c, b, w)
     value = integral + 0.5 * h - hp / 12.0 + hppp / 720.0
     return value, abs(h4) / 15120.0
@@ -189,12 +193,13 @@ def _dirichlet_sphere(model: SurfaceModel, msq: float, s: float) -> TraceResult:
     lam = k * (k + 1.0) / rsq
     direct = stable_sum((2.0 * k + 1.0) * (msq + lam) ** (-w))
     # tail sum_{k>kmax} h(k), h(x) = (2x+1) u^{-w}, u = msq + x(x+1)/rsq:
-    # substitution gives the closed integral (rsq/s) u^{-s}.
+    # substitution gives the closed integral (rsq/s) u^{-s}.  It holds the
+    # whole pole; at s = 0 that pole rsq/s is dropped, leaving -rsq ln u.
     x = kmax + 1.0
     u = msq + x * (x + 1.0) / rsq
     up = (2.0 * x + 1.0) / rsq
     upp = 2.0 / rsq
-    integral = (rsq / s) * u ** (-s)
+    integral = (rsq / s) * u ** (-s) if s else -rsq * math.log(u)
     # h = rsq f with f = u' u^{-w}; u''' = 0, so
     #   f'   = u'' u^{-w} - w u'^2 u^{-w-1}
     #   f''' = -3w u''^2 u^{-w-1} + 6w(w+1) u'^2 u'' u^{-w-2}
@@ -227,10 +232,16 @@ def _dirichlet_torus(model: SurfaceModel, msq: float, s: float,
     # remainder that is exponentially small in L2 sqrt(c_p).
     kappa = math.sqrt(math.pi / be) * math.exp(_gammaln(w - 0.5) - _gammaln(w))
     wp = w - 0.5
-    t2, bd2 = _sum1d_tail(msq, al, wp, p_cut)
+    c_edge = msq + al * (p_cut + 1.0) ** 2
+    # At s = 0 the p-integral from x = p_cut + 1 is 1/(2 s sqrt al) + (ln 2 - asinh x0
+    # - ln(msq)/2)/sqrt al + O(s), x0 = x sqrt(al/msq), and kappa = (pi/sqrt be)
+    # (1 - 2 s ln 2 + O(s^2)): the pole pi/(s sqrt(al be)) is dropped, the two ln 2
+    # cancel, and asinh x0 + ln(msq)/2 = ln(x sqrt al + sqrt c_edge).
+    sa = math.sqrt(al)
+    far = None if s else -math.log((p_cut + 1.0) * sa + math.sqrt(c_edge)) / sa
+    t2, bd2 = _sum1d_tail(msq, al, wp, p_cut, integral=far)
     total += 2.0 * kappa * t2
     bound += 2.0 * kappa * bd2
-    c_edge = msq + al * (p_cut + 1.0) ** 2
     bound += 8.0 * kappa * c_edge ** (-wp) * math.exp(-model.l2 * math.sqrt(c_edge))
     bound += 1e-16 * abs(total) * (2 * p_cut + 1)
     return TraceResult(value=total, err_bound=bound)
@@ -247,34 +258,18 @@ def dirichlet_trace(model: SurfaceModel, msq: float, s: float) -> TraceResult:
     return _dirichlet_torus(model, msq, s)
 
 
-_DEFAULT_S_GRID = (0.2, 0.1, 0.05, 0.025)
+def laurent_fit(model: SurfaceModel, msq: float) -> LaurentFit:
+    """tr C^{s+1} = residue/s + finite_part + O(s) near s = 0.
 
-
-def laurent_fit(model: SurfaceModel, msq: float, s_grid=None) -> LaurentFit:
-    """Fit c_{-1}/s + c_0 + c_1 s + c_2 s^2 to tr C^{s+1} on a small-s grid.
-
-    The s^2 term absorbs the next analytic order; without it the finite part
-    inherits an O(1e-3)-level model bias on grids reaching up to s = 0.2.
-    Returns residue = c_{-1} and finite_part = c_0 with fit diagnostics.
+    The direct engine at s = 0 drops the pole of its closed-form tails and
+    returns the s^0 coefficient with its certified bound (err_bound).  residue
+    is the dropped pole coefficient: R^2 on the sphere, pi/sqrt(al be) on the
+    torus (al, be = (2 pi/L1)^2, (2 pi/L2)^2); both are A/(4 pi).
     """
-    grid = np.asarray(_DEFAULT_S_GRID if s_grid is None else s_grid, dtype=float)
-    if grid.size < 4:
-        raise ValueError("s_grid needs at least 4 points")
-    if np.any(grid <= 0.0) or np.any(grid > 0.5):
-        raise ValueError("s_grid must lie in (0, 0.5]")
-    if np.unique(grid).size != grid.size:
-        raise ValueError("s_grid points must be distinct")
-    traces = [dirichlet_trace(model, msq, float(s)) for s in grid]
-    y = np.array([t.value for t in traces])
-    design = np.column_stack([1.0 / grid, np.ones_like(grid), grid, grid ** 2])
-    coef, residual, *_ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ coef
-    diagnostics = {
-        "s_grid": grid.tolist(),
-        "trace_values": y.tolist(),
-        "trace_bounds": [t.err_bound for t in traces],
-        "lsq_residual": float(np.sqrt(np.sum((fitted - y) ** 2))),
-        "coefficients": coef.tolist(),
-    }
-    return LaurentFit(residue=float(coef[0]), finite_part=float(coef[1]),
-                      fit_diagnostics=diagnostics)
+    _check_mass("msq", msq)
+    if model.kind == "sphere":
+        residue, trace = model.radius * model.radius, _dirichlet_sphere(model, msq, 0.0)
+    else:
+        residue = math.pi / (2.0 * math.pi / model.l1 * (2.0 * math.pi / model.l2))
+        trace = _dirichlet_torus(model, msq, 0.0)
+    return LaurentFit(residue=residue, finite_part=trace.value, err_bound=trace.err_bound)

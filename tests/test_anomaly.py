@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from zetasurf import (det2, gamma0, heat_integral, laurent_fit, make_surface,
-                      mass_shift_prefactor, residue_phase_space, verify_anomaly,
-                      verify_massless, zeta_det)
+from zetasurf import (det2, gamma0, heat_integral, make_surface, mass_shift_prefactor,
+                      verify_anomaly, verify_massless, zeta_det)
 
 PI = math.pi
 EULER = float(np.euler_gamma)
@@ -83,16 +82,6 @@ def test_prefactor_special_values():
     assert mass_shift_prefactor(SPHERE, 4.0, 1.0) == pytest.approx(
         math.exp(EULER), rel=1e-12)
     assert mass_shift_prefactor(SPHERE, 0.5, 0.0) == 1.0
-
-
-def test_residue_phase_space_values():
-    assert residue_phase_space(SPHERE) == pytest.approx(1.0, rel=1e-15)
-    assert residue_phase_space(TORUS12) == pytest.approx(1 / (2 * PI), rel=1e-15)
-
-
-def test_residue_phase_space_matches_fit():
-    fit = laurent_fit(TORUS12, 1.0)
-    assert abs(fit.residue - residue_phase_space(TORUS12)) < 1e-4
 
 
 def test_massless_sphere_report():

@@ -6,7 +6,8 @@ import tracemalloc
 
 import pytest
 
-from zetasurf import cli, gff, heat, parse_surface, verify_anomaly, zeta
+from zetasurf import (cf_mean, cli, gff, heat, parse_surface, torus_cf_image_sum,
+                      verify_anomaly, zeta)
 from zetasurf.cli import main
 
 
@@ -104,10 +105,31 @@ def test_heat_trace_with_explicit_t(capsys):
 
 
 def test_cf_command_torus_two_oracles(capsys):
-    code, out, _ = _run(capsys, "cf", "--surface", "torus:L1=1,L2=1", "--m0", "1")
+    # the heat route and the image sum agree inside the sum of their bounds
+    for spec in ("torus:L1=1,L2=1", "torus:L1=0.5,L2=0.5", "torus:L1=3,L2=0.5",
+                 "torus:L1=1,L2=2", "torus:L1=10,L2=10"):
+        model = parse_surface(spec)
+        for m0 in (0.5, 1.0):
+            code, out, _ = _run(capsys, "cf", "--surface", spec, "--m0", repr(m0))
+            assert code == 0
+            rec = json.loads(out)["results"][0]
+            image = torus_cf_image_sum(model.l1, model.l2, m0)
+            assert rec["bound"] == cf_mean(model, m0 * m0).err_bound + image.err_bound
+            assert rec["abs_diff"] <= rec["bound"] < 1e-10
+            assert rec["pass"] is True
+
+
+@pytest.mark.parametrize("spec", ["sphere:R=1", "torus:L1=1.5,L2=0.7"])
+def test_verify_mainlemma_finite_part_within_bounds(capsys, spec):
+    # m0^2 = 0.3, off the verify-all mass grid: no tolerance, only the two bounds
+    code, out, _ = _run(capsys, "verify-mainlemma", "--surface", spec,
+                        "--m0", "0.5477225575051661")
     assert code == 0
     rec = json.loads(out)["results"][0]
-    assert rec["abs_diff"] < 1e-6
+    bound = rec["finite_part_bound"] + rec["heat_integral_bound"]
+    assert rec["finite_part_abs_diff"] <= bound <= 1e-10
+    weyl = rec["residue_weyl"]
+    assert abs(rec["residue_fit"] - weyl) <= 4.0 * math.ulp(1.0) * weyl
 
 
 def test_floats_have_full_precision(capsys):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from zetasurf import (dirichlet_trace, heat_coeffs, heat_integral, laurent_fit,
-                      make_surface, parse_surface, residue_phase_space, zeta_det)
+                      make_surface, parse_surface, zeta_det)
 from zetasurf import heat, zeta
 from zetasurf.sumtools import stable_sum
 
 PI = math.pi
+EPS = float(np.finfo(float).eps)
 SPHERE = make_surface("sphere", R=1)
 TORUS = make_surface("torus", L1=1, L2=1)
 TORUS12 = make_surface("torus", L1=1, L2=2)
@@ -136,11 +137,9 @@ def test_dirichlet_validation():
 
 def test_laurent_fit_sphere():
     fit = laurent_fit(SPHERE, 1.0)
-    assert fit.residue == pytest.approx(1.0, abs=1e-4)
+    assert abs(fit.residue - 1.0) <= 4.0 * EPS
     integral = heat_integral(SPHERE, 1.0)
-    assert fit.finite_part == pytest.approx(integral.value, abs=1e-4)
-    assert len(fit.fit_diagnostics["s_grid"]) == 4
-    assert fit.fit_diagnostics["lsq_residual"] < 1e-6
+    assert abs(fit.finite_part - integral.value) <= fit.err_bound + integral.abs_error_bound
 
 
 def test_laurent_fit_torus_residues():
@@ -151,21 +150,55 @@ def test_laurent_fit_torus_residues():
 
 
 def test_residue_three_ways():
+    # the engine's dropped pole, Weyl's A/(4 pi), and the s -> 0 limit of
+    # s tr C^{s+1} from the s > 0 traces (Richardson: error O(s^2))
+    s = 1e-3
     for model in (SPHERE, TORUS, TORUS12):
         fit = laurent_fit(model, 1.0)
         weyl = model.area / (4 * PI)
-        phase = residue_phase_space(model)
-        assert abs(fit.residue - weyl) < 1e-4
-        assert abs(fit.residue - phase) < 1e-4
+        limit = s * (dirichlet_trace(model, 1.0, s / 2).value
+                     - dirichlet_trace(model, 1.0, s).value)
+        assert abs(fit.residue - weyl) <= 4.0 * EPS * weyl
+        assert abs(limit - fit.residue) <= s * s
 
 
-def test_laurent_fit_grid_validation():
-    with pytest.raises(ValueError):
-        laurent_fit(SPHERE, 1.0, s_grid=[0.2, 0.1, 0.05])
-    with pytest.raises(ValueError):
-        laurent_fit(SPHERE, 1.0, s_grid=[0.6, 0.2, 0.1, 0.05])
-    with pytest.raises(ValueError):
-        laurent_fit(SPHERE, 1.0, s_grid=[0.2, 0.2, 0.1, 0.05])
+FINITE_PART_SURFACES = ["sphere:R=0.3", "sphere:R=1", "sphere:R=10",
+                        "torus:L1=1,L2=1", "torus:L1=1.5,L2=0.7", "torus:L1=1,L2=5"]
+
+
+@pytest.mark.parametrize("spec", FINITE_PART_SURFACES)
+@pytest.mark.parametrize("msq", [1e-3, 0.3, 1.0, 30.0])
+def test_laurent_finite_part_matches_heat_integral(spec, msq):
+    # two independent engines for I: the s^0 coefficient of the direct trace
+    # and the heat-kernel quadrature, each inside its own certified bound
+    model = parse_surface(spec)
+    fit = laurent_fit(model, msq)
+    integral = heat_integral(model, msq)
+    assert abs(fit.finite_part - integral.value) <= fit.err_bound + integral.abs_error_bound
+    assert abs(fit.residue - heat_coeffs(model, msq).a_minus1) <= 4.0 * EPS * fit.residue
+
+
+@pytest.mark.parametrize("spec", ["sphere:R=1", "torus:L1=1,L2=1", "torus:L1=1,L2=2"])
+def test_laurent_finite_part_bound_is_tight(spec):
+    model = parse_surface(spec)
+    combined = laurent_fit(model, 1.0).err_bound + heat_integral(model, 1.0).abs_error_bound
+    assert combined <= 1e-10
+
+
+@pytest.mark.parametrize("spec", ["sphere:R=1", "torus:L1=1,L2=1", "torus:L1=1.5,L2=0.7"])
+def test_laurent_finite_part_is_the_richardson_limit(spec):
+    # g(s) = tr C^{s+1} - residue/s = FP + c1 s + O(s^2), so 2 g(s/2) - g(s)
+    # is FP to O(s^2).  This checks the s = 0 algebra (the -R^2 ln u tail on
+    # the sphere; the log term and the cancelling ln 2 on the torus) against
+    # the s > 0 engine, which never uses it.
+    model = parse_surface(spec)
+    fit = laurent_fit(model, 1.0)
+    s = 1e-3
+
+    def g(x):
+        return dirichlet_trace(model, 1.0, x).value - fit.residue / x
+
+    assert abs(2.0 * g(s / 2) - g(s) - fit.finite_part) <= s * s
 
 
 def test_zeta_tolerance_contract():
