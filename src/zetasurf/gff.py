@@ -17,20 +17,29 @@ The Monte Carlo estimates see a sample only through W_C and one mode's
 phi^2, so they draw sufficient statistics instead of fields.  The modes of a
 spectral line l share the variance var_l = 1/(m0^2 + lambda_l), so
 sum_{k in l} phi_k^2 = var_l G_l with G_l ~ chi^2_{mult_l}, independent
-across lines, and W_C = sum_l var_l (G_l - mult_l): one chi^2 draw per line
-instead of one normal per mode.  The measured mode's phi^2 is var_l G_l B
-with B ~ Beta(1/2, (mult_l - 1)/2) independent of G_l (B = 1 on a line of
-multiplicity 1).
+across lines, and W_C = sum_l var_l (G_l - mult_l).  The measured mode's phi^2
+is var_l G_l B, B ~ Beta(1/2, (mult_l - 1)/2) independent of G_l (B = 1 on a
+line of multiplicity 1).  The other lines are split, in lambda order, into
+contiguous bands of one gamma variate each (Ruben 1962): with beta = min var_l,
+q_l = 1 - beta/var_l and K = sum mult_l over a band, sum_l var_l G_l has the
+law of 2 beta Gamma(K/2 + N), N the sum of independent NegativeBinomial(mult_l/2,
+1 - q_l).  N's law, the FFT of its generating function, is tabulated once per
+pass on the J entries that the Chernoff bound P(N >= J) <= G(z) z^-J leaves
+all but 2^-64 of its mass in, and read through a Walker alias table; a band
+takes lines while J <= min(rows, _MAX_TABLE), rows the samples of a chunk.
 
 Reproducibility contract: the samples are drawn in chunks of _CHUNK, chunk c
 from an SFC64 generator seeded by SeedSequence((seed, c)), and chunk
 statistics are reduced in chunk order, so results are bit-identical for a
 fixed seed regardless of how many threads draw the chunks.  Within a chunk
-the stream holds one contiguous draw of the chunk's size per spectral line,
-in line order: standard_normal on a line of multiplicity 1 (G_l is its
-square), standard_gamma(mult_l/2) on any other line (G_l is twice it); and
-then the measured mode's Beta shares, so the identity estimate does not
-depend on the measured mode.
+the stream holds the bands in lambda order and then the measured line, each a
+contiguous draw of the chunk's size: standard_normal on a lone line of
+multiplicity 1 (G_l is its square), standard_gamma(mult_l/2) on any other lone
+line (G_l is twice it), and on a band of several lines a uniform u, read as
+k = floor(uJ) with coin uJ - k (N = k if the coin is below prob[k], else
+alias[k]), then standard_gamma(K/2 + N); and then the measured mode's Beta
+shares.  So the identity estimate depends on the measured mode only through
+its line.
 
 Threads: with `threads` = N the chunks are claimed in index order, under a
 lock, by whichever of N threads is free: N - 1 helper threads and the calling
@@ -48,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from threading import Lock, Thread
+from threading import Lock, Thread, local
 
 import numpy as np
 
@@ -61,6 +70,11 @@ __all__ = ["MCEstimate", "measure_estimates"]
 
 # samples per chunk: the unit of the (seed, chunk) stream and of thread work
 _CHUNK = 65536
+# a band's alias table has at most min(rows, _MAX_TABLE) entries, and misses at
+# most 2^-64 of N's mass by the Chernoff bound at one of the _CHERNOFF points:
+# 1 - q_0 z as a share of 1 - q_0, for 1 < z < 1/q_0
+_MAX_TABLE = 4096
+_CHERNOFF = np.geomspace(1e-9, 0.999, 64)
 
 
 @dataclass(frozen=True)
@@ -75,11 +89,11 @@ class MCEstimate:
 def _checked_spectrum(model: SurfaceModel, lam_max: float,
                       rows: int) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, multiplicities) of the lines, refused before anything is
-    built unless one chunk's draw, `rows` x lines, fits the budget.  The draw
-    allocates nothing per mode, so only `eigen_arrays`' own budget bounds its
-    spectrum."""
+    built unless one chunk's draw, rows x (bands + 1) plus the alias tables,
+    fits the budget at one band per line.  The draw allocates nothing per mode,
+    so only `eigen_arrays`' own budget bounds its spectrum."""
     lines, modes = _spectrum_size(model, max(lam_max, 0.0))  # eigen_arrays rejects lam_max < 0
-    draw = rows * lines
+    draw = rows * (lines + 1.0) + lines * min(rows, _MAX_TABLE)
     if draw > _MAX_SPECTRUM_POINTS:
         raise ValueError(
             f"lam_max={lam_max:g} needs {draw:.2g} draws per chunk ({rows} rows over "
@@ -91,45 +105,126 @@ def _checked_spectrum(model: SurfaceModel, lam_max: float,
     return lams, mults
 
 
+def _table_size(var: np.ndarray, mults: np.ndarray) -> int:
+    """J for the band of lines of decreasing var: the least J with G(z) z^-J <= 2^-64 at
+    one of the _CHERNOFF points.  With a = 1 - q and d = 1 - q_0 z, each 1 - q_l z is
+    (a_l - a_0 + q_l d)/q_0, which keeps every log free of cancellation."""
+    a = var[-1] / var
+    if a[0] >= 1.0:
+        return 1
+    d, log_q0 = a[0] * _CHERNOFF, math.log1p(-a[0])
+    log_g = (0.5 * mults) @ (np.log(a)[:, None] + log_q0
+                             - np.log((a - a[0])[:, None] + np.outer(1.0 - a, d)))
+    return math.ceil(np.min((log_g + 64.0 * math.log(2.0)) / (np.log1p(-d) - log_q0)))
+
+
+def _band_edges(var: np.ndarray, mults: np.ndarray, limit: int) -> list[int]:
+    """The first line of each band, then the line count: a band takes the next
+    line while its table stays within limit."""
+    edges = [0]
+    for j in range(1, var.size):
+        if _table_size(var[edges[-1]:j + 1], mults[edges[-1]:j + 1]) > limit:
+            edges.append(j)
+    return edges + [var.size]
+
+
+def _band(var: np.ndarray, mults: np.ndarray) -> tuple:
+    """(beta, K/2, prob, K/2 + alias) of a band, prob None on one line (N = 0).  N's law
+    on 0..J-1 is the inverse FFT, on 2^k >= J points, of G(e^{-i theta}), its log summed
+    line by line with 1 - q e^{-i theta} = a + q (1 - cos theta + i sin theta); Vose's
+    alias table of it keeps k with probability prob[k], else gives alias[k]."""
+    beta, half, size = float(var[-1]), 0.5 * float(np.sum(mults)), _table_size(var, mults)
+    if size == 1:
+        return beta, half, None, None
+    points = 1 << (size - 1).bit_length()
+    theta = np.arange(points // 2 + 1) * (2.0 * math.pi / points)
+    circle = 2.0 * np.sin(0.5 * theta) ** 2 + 1j * np.sin(theta)
+    log_g = np.zeros(theta.size, complex)
+    for a, r in zip((var[-1] / var).tolist(), (0.5 * mults).tolist()):
+        log_g += r * (math.log(a) - np.log(a + (1.0 - a) * circle))
+    p = np.maximum(np.fft.irfft(np.exp(log_g), points)[:size], 0.0)
+    prob, alias = (p * (size / p.sum())).tolist(), list(range(size))
+    small = [k for k, x in enumerate(prob) if x < 1.0]
+    large = [k for k, x in enumerate(prob) if x >= 1.0]
+    while small and large:
+        k, j = small.pop(), large.pop()
+        alias[k], prob[j] = j, prob[j] + prob[k] - 1.0
+        (small if prob[j] < 1.0 else large).append(j)
+    for k in small + large:                     # left over by rounding
+        prob[k] = 1.0
+    return beta, half, np.array(prob), half + np.array(alias)
+
+
+class _Draw:
+    """What every chunk of a pass reads: the bands of the other lines and then
+    the measured line's, its Beta share, and one buffer set per thread."""
+
+    def __init__(self, m0sq, m1sq, lams, mults, line, rows):
+        var = 1.0 / (m0sq + lams)
+        others, counts = np.delete(var, line), np.delete(mults, line)
+        edges = _band_edges(others, counts, min(rows, _MAX_TABLE))
+        self.bands = [_band(others[i:j], counts[i:j]) for i, j in zip(edges, edges[1:])]
+        self.bands.append(_band(var[line:line + 1], mults[line:line + 1]))
+        self.share = 0.5 * (mults[line] - 1.0)   # Beta(1/2, share); 0 on a mult-1 line
+        self.offset = np.sum(mults * var)
+        self.m1sq = m1sq
+        self._local = local()
+
+    def buffers(self, size):
+        """This thread's acc, buf, u (float), k (intp) and swap (bool)."""
+        got = getattr(self._local, "got", None)
+        if got is None or got[0].size < size:
+            got = self._local.got = [np.empty(size, t) for t in (float,) * 3 + (np.intp, bool)]
+        return [x[:size] for x in got]
+
+
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, chunk_index))))
 
 
-def _measure_chunk_stats(m0sq, m1sq, lams, mults, seed, idx, size, line):
+def _measure_chunk_stats(draw: _Draw, seed: int, idx: int, size: int) -> dict:
     rng = _chunk_rng(seed, idx)
-    var = 1.0 / (m0sq + lams)
-    # sum_l var_l G_l with G_l ~ chi^2_mult: one contiguous draw per spectral
-    # line, in line order, added in that order
-    acc = np.zeros(size)
-    buf = np.empty(size)
-    for j in range(lams.size):
-        if mults[j] == 1:
-            rng.standard_normal(size=size, out=buf)     # G = Z^2
-            buf *= buf
-            buf *= var[j]
+    acc, buf, u, k, swap = draw.buffers(size)
+    acc.fill(0.0)
+    # sum_l var_l G_l, band by band in stream order; buf ends holding the
+    # measured line's var_l G_l
+    for beta, half, prob, other in draw.bands:
+        if prob is not None:
+            rng.random(size=size, out=u)
+            u *= prob.size
+            np.copyto(k, u, casting="unsafe")               # k = floor(uJ)
+            u -= k                                          # the coin
+            np.take(prob, k, out=buf, mode="clip")          # "clip": out is not copied
+            np.greater_equal(u, buf, out=swap)
+            np.add(k, half, out=buf)                        # K/2 + k
+            np.take(other, k, out=u, mode="clip")           # K/2 + alias[k]
+            np.copyto(buf, u, where=swap)
+            rng.standard_gamma(buf, out=buf)                # elementwise, so in place
+            buf *= 2.0 * beta
+        elif half > 0.5:
+            rng.standard_gamma(half, size=size, out=buf)    # G = 2 Gamma(mult/2)
+            buf *= 2.0 * beta
         else:
-            rng.standard_gamma(0.5 * mults[j], size=size, out=buf)  # G = 2 Gamma(mult/2)
-            buf *= 2.0 * var[j]
+            rng.standard_normal(size=size, out=buf)         # G = Z^2
+            buf *= buf
+            buf *= beta
         acc += buf
-        if j == line:
-            phi2 = buf.copy()
-    acc -= np.sum(mults * var)                   # W_C
-    acc *= -0.5 * m1sq                           # log w
+    acc -= draw.offset                           # W_C
+    acc *= -0.5 * draw.m1sq                      # log w
     shift = float(np.max(acc))
     acc -= shift
     e = np.exp(acc, out=acc)                     # w e^{-shift}
-    if mults[line] > 1:
-        # the measured mode's share of its line, Beta(1/2, (mult-1)/2), drawn
-        # after every line so that the identity estimate does not depend on the mode
-        phi2 *= rng.beta(0.5, 0.5 * (mults[line] - 1.0), size=size)
-    a = phi2 * e                                 # w * phi^2
+    if draw.share:
+        # the measured mode's share of its line, drawn after every band
+        buf *= rng.beta(0.5, draw.share, size=size)
+    a = np.multiply(buf, e, out=buf)             # w * phi^2
     return {
         "shift": shift,
         "s_w": float(np.sum(e)),
-        "s_w2": float(np.sum(e * e)),
+        "s_w2": float(np.sum(np.multiply(e, e, out=u))),
         "s_a": float(np.sum(a)),
-        "s_a2": float(np.sum(a * a)),
-        "s_ab": float(np.sum(a * e)),            # (w phi^2) * w
+        "s_a2": float(np.sum(np.multiply(a, a, out=u))),
+        "s_ab": float(np.sum(np.multiply(a, e, out=u))),     # (w phi^2) * w
     }
 
 
@@ -199,14 +294,14 @@ def _start(model, m0, m1, lam_max, n, seed, threads, mode):
         raise ValueError("n must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    m0sq, m1sq, chunk = m0 * m0, m1 * m1, _CHUNK
-    lams, mults = _checked_spectrum(model, lam_max, min(chunk, n))
+    chunk, rows = _CHUNK, min(_CHUNK, n)
+    lams, mults = _checked_spectrum(model, lam_max, rows)
     ends = np.cumsum(mults)
     if not 0 <= mode < int(ends[-1]):
         raise ValueError(f"mode must be in [0, {int(ends[-1])})")
     line = int(np.searchsorted(ends, mode, side="right"))
-    work = lambda i: _measure_chunk_stats(
-        m0sq, m1sq, lams, mults, seed, i, min(chunk, n - i * chunk), line)
+    draw = _Draw(m0 * m0, m1 * m1, lams, mults, line, rows)
+    work = lambda i: _measure_chunk_stats(draw, seed, i, min(chunk, n - i * chunk))
     return float(lams[line]), _ChunkRun(work, (n + chunk - 1) // chunk, threads)
 
 

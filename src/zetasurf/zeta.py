@@ -226,7 +226,8 @@ def _dirichlet_torus(model: SurfaceModel, msq: float, s: float,
     # all rows |p| <= p_cut at once: |q| <= q_cut summed, |q| > q_cut in closed form
     rows = ((c[:, None] + be * q * q) ** (-w)).sum(axis=1)
     tails, tail_bounds = _sum1d_tail(c, be, w, q_cut)
-    total = stable_sum(rows + 2.0 * tails)
+    terms = rows + 2.0 * tails
+    total = stable_sum(terms)
     bound = stable_sum(2.0 * tail_bounds)
     # |p| > p_cut: the row sum equals its q-integral up to a Poisson-dual
     # remainder that is exponentially small in L2 sqrt(c_p).
@@ -240,10 +241,12 @@ def _dirichlet_torus(model: SurfaceModel, msq: float, s: float,
     sa = math.sqrt(al)
     far = None if s else -math.log((p_cut + 1.0) * sa + math.sqrt(c_edge)) / sa
     t2, bd2 = _sum1d_tail(msq, al, wp, p_cut, integral=far)
-    total += 2.0 * kappa * t2
+    far_rows = 2.0 * kappa * t2
+    total += far_rows
     bound += 2.0 * kappa * bd2
     bound += 8.0 * kappa * c_edge ** (-wp) * math.exp(-model.l2 * math.sqrt(c_edge))
-    bound += 1e-16 * abs(total) * (2 * p_cut + 1)
+    # rounding, scaled by the terms summed: their total cancels at s = 0
+    bound += 1e-16 * (stable_sum(np.abs(terms)) + abs(far_rows)) * (2 * p_cut + 1)
     return TraceResult(value=total, err_bound=bound)
 
 

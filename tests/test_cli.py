@@ -291,9 +291,9 @@ def test_verify_all_draws_each_gff_chunk_once(capsys, monkeypatch):
     # finishes: 200000 samples are 4 chunks, each drawn exactly once
     real, drawn = gff._measure_chunk_stats, []
 
-    def recorded(m0sq, m1sq, lams, mults, seed, idx, size, line):
+    def recorded(draw, seed, idx, size):
         drawn.append(idx)
-        return real(m0sq, m1sq, lams, mults, seed, idx, size, line)
+        return real(draw, seed, idx, size)
 
     monkeypatch.setattr(gff, "_measure_chunk_stats", recorded)
     code, _, err = _run(capsys, "verify-all", "--samples", "200000", "--threads", "2")

@@ -48,12 +48,12 @@ def test_reweighted_mode_variance():
 
 
 def test_measure_estimates_match_separate_calls():
-    # the identity estimate does not depend on the measured mode: the Beta
-    # shares are drawn after every line, so a call measuring mode 2 (in the
-    # mult-3 line) and one measuring mode 0 (alone on its line) read the same
-    # chi^2 draws
+    # the identity estimate depends on the measured mode only through its
+    # line: the line is drawn on its own after the other lines' bands, and the
+    # Beta shares after it, so calls measuring modes 2 and 1 (both in the
+    # mult-3 line) read the same draws
     est = measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=30000, seed=4, mode=2, threads=2)[0]
-    assert est == measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=30000, seed=4, mode=0)[0]
+    assert est == measure_estimates(SPHERE, 1.0, 1.0, 42.0, n=30000, seed=4, mode=1)[0]
 
 
 TORUS_1X2 = make_surface("torus", L1=1, L2=2)
@@ -75,23 +75,43 @@ def test_line_level_sampler_statistics(model, m0, m1, mode):
     assert abs(rw.z_score) < 4.0
 
 
-def _reference_chunk_stats(m0sq, m1sq, lams, mults, seed, idx, size, line):
-    """The documented stream, rebuilt: a fresh (seed, chunk) generator, one
-    chi^2_mult draw per line in line order (Z^2 on a mult-1 line, else
-    2 Gamma(mult/2)), then the measured mode's Beta share of its line."""
+def _draw(model, m0sq, m1sq, lam_max, line, rows):
+    lams, mults = eigen_arrays(model, lam_max)
+    return gff._Draw(m0sq, m1sq, lams, mults, line, rows)
+
+
+def _reference_terms(draw, rng, size):
+    """The band draws of the documented stream, in band order, the measured
+    line last: Z^2 on a lone mult-1 line, 2 Gamma(mult/2) on any other lone
+    line, else a uniform read through the band's alias table and then
+    2 Gamma(K/2 + N); each scaled by the band's least variance."""
+    terms = []
+    for beta, half, prob, other in draw.bands:
+        if prob is not None:
+            uj = rng.random(size) * prob.size
+            k = np.floor(uj).astype(int)
+            n = np.where(uj - k < prob[k], k, other[k] - half)
+            terms.append(rng.standard_gamma(half + n) * (2.0 * beta))
+        elif half > 0.5:
+            terms.append(rng.standard_gamma(half, size=size) * (2.0 * beta))
+        else:
+            terms.append(rng.standard_normal(size) ** 2 * beta)
+    return terms
+
+
+def _reference_chunk_stats(draw, seed, idx, size):
+    """The documented stream, rebuilt: a fresh (seed, chunk) generator, the
+    band draws, then the measured mode's Beta share of its line."""
     rng = _chunk_rng(seed, idx)
-    var = 1.0 / (m0sq + lams)
-    terms = [rng.standard_normal(size) ** 2 * v if m == 1
-             else rng.standard_gamma(0.5 * m, size=size) * (2.0 * v)
-             for m, v in zip(mults, var)]
-    share = rng.beta(0.5, 0.5 * (mults[line] - 1.0), size=size) if mults[line] > 1 else 1.0
+    terms = _reference_terms(draw, rng, size)
+    share = rng.beta(0.5, draw.share, size=size) if draw.share else 1.0
     total = np.zeros(size)
     for t in terms:
         total = total + t
-    logw = (total - np.sum(mults * var)) * (-0.5 * m1sq)
+    logw = (total - draw.offset) * (-0.5 * draw.m1sq)
     shift = float(np.max(logw))
     e = np.exp(logw - shift)
-    a = terms[line] * share * e
+    a = terms[-1] * share * e
     return {"shift": shift, "s_w": float(np.sum(e)), "s_w2": float(np.sum(e * e)),
             "s_a": float(np.sum(a)), "s_a2": float(np.sum(a * a)),
             "s_ab": float(np.sum(a * e))}
@@ -99,8 +119,15 @@ def _reference_chunk_stats(m0sq, m1sq, lams, mults, seed, idx, size, line):
 
 @pytest.mark.parametrize("line", [0, 3])   # the mult-1 line and the mult-7 line
 def test_chunk_stats_follow_the_documented_stream(line):
-    lams, mults = eigen_arrays(SPHERE, 42.0)
-    args = (1.0, 1.0, lams, mults, 11, 3, 5000, line)
+    # rows = 50 keeps each table within 50 entries: the stream then holds the
+    # mult-1 line, single lines of higher multiplicity and a band of two lines,
+    # and ends with the measured line
+    draw = _draw(SPHERE, 1.0, 1.0, 42.0, line, 50)
+    singles = [half for _, half, prob, _ in draw.bands if prob is None]
+    assert 0.5 in singles and 1.5 in singles and singles[-1] == [0.5, 1.5, 2.5, 3.5][line]
+    assert [half for _, half, prob, _ in draw.bands if prob is not None] == [12.0]
+    assert draw.bands[-1][2] is None
+    args = (draw, 11, 3, 5000)
     assert _measure_chunk_stats(*args) == _reference_chunk_stats(*args)
 
 
@@ -108,9 +135,9 @@ def _assert_chi2_1_moments(line):
     # m1 = 0 makes every weight 1, so s_a and s_a2 sum phi^2 and phi^4 of the
     # measured mode: phi^2/var must be chi^2_1, with mean 1 (variance 2) and
     # E[chi^4] = 3 (variance 105 - 9 = 96)
-    lams, mults = eigen_arrays(SPHERE, 42.0)
+    lams, _ = eigen_arrays(SPHERE, 42.0)
     n, var = 200000, 1.0 / (1.0 + lams[line])
-    st = _measure_chunk_stats(1.0, 0.0, lams, mults, 1, 0, n, line)
+    st = _measure_chunk_stats(_draw(SPHERE, 1.0, 0.0, 42.0, line, n), 1, 0, n)
     assert abs(st["s_a"] / n / var - 1.0) < 4.0 * math.sqrt(2.0 / n)
     assert abs(st["s_a2"] / n / var ** 2 - 3.0) < 4.0 * math.sqrt(96.0 / n)
 
@@ -158,10 +185,10 @@ def test_cancelled_prefetch_is_dropped_and_joined(monkeypatch):
 def test_helper_exception_reaches_the_caller(monkeypatch):
     real = gff._measure_chunk_stats
 
-    def failing(m0sq, m1sq, lams, mults, seed, idx, size, line):
+    def failing(draw, seed, idx, size):
         if idx == 5:
             raise RuntimeError("chunk 5")
-        return real(m0sq, m1sq, lams, mults, seed, idx, size, line)
+        return real(draw, seed, idx, size)
 
     monkeypatch.setattr(gff, "_measure_chunk_stats", failing)
     monkeypatch.setattr(gff, "_CHUNK", 500)
@@ -180,9 +207,9 @@ def test_chunk_claims_under_contention(monkeypatch):
     serial = measure_estimates(*args, threads=1)
     real, drawn = gff._measure_chunk_stats, []
 
-    def recorded(m0sq, m1sq, lams, mults, seed, idx, size, line):
+    def recorded(draw, seed, idx, size):
         drawn.append(idx)
-        return real(m0sq, m1sq, lams, mults, seed, idx, size, line)
+        return real(draw, seed, idx, size)
 
     monkeypatch.setattr(gff, "_measure_chunk_stats", recorded)
     interval = sys.getswitchinterval()
@@ -287,3 +314,69 @@ def test_line_level_bookkeeping_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
+
+
+def _reference_pmf(var, mults, size):
+    """The law of N = sum_l N_l on 0..size-1, N_l ~ NegativeBinomial(mult_l/2,
+    1 - q_l) with q_l = 1 - min(var)/var_l: each line's pmf by cumulative
+    products of its term ratios, the lines joined by np.convolve."""
+    total = np.array([1.0])
+    for v, m in zip(var, mults):
+        q, r, j = 1.0 - var[-1] / v, 0.5 * m, np.arange(1.0, size)
+        line = (1.0 - q) ** r * np.concatenate([[1.0], np.cumprod((r + j - 1.0) / j * q)])
+        total = np.convolve(total, line)[:size]
+    return total
+
+
+@pytest.mark.parametrize("model,lam_max", [(SPHERE, 42.0), (TORUS_1X2, 2000.0), (SPHERE, 4e5)])
+def test_band_tables_match_the_convolved_negative_binomials(model, lam_max):
+    lams, mults = eigen_arrays(model, lam_max)
+    var = 1.0 / (1.0 + lams)
+    var, mults = var[1:], mults[1:]             # the lines other than mode 0's
+    edges = gff._band_edges(var, mults, gff._MAX_TABLE)
+    bands = [(i, j) for i, j in zip(edges, edges[1:]) if j - i > 1][:2]
+    assert bands
+    for i, j in bands:
+        beta, half, prob, other = gff._band(var[i:j], mults[i:j])
+        size = prob.size
+        assert beta == var[j - 1] and half == 0.5 * np.sum(mults[i:j])
+        assert 1 < size <= gff._MAX_TABLE
+        reference = _reference_pmf(var[i:j], mults[i:j], 2 * size)
+        # the table misses at most 2^-64 of N's mass, and holds the rest: entry k
+        # gives k with probability prob[k] and alias[k] with 1 - prob[k]
+        assert reference[size:].sum() <= 2.0 ** -64
+        alias = (other - half).astype(int)
+        table = (prob + np.bincount(alias, weights=1.0 - prob, minlength=size)) / size
+        assert 0.5 * np.abs(table - reference[:size]).sum() <= 1e-13
+
+
+def _reference_w(draw, seed, size):
+    """W_C of one chunk of the documented stream."""
+    return np.sum(_reference_terms(draw, _chunk_rng(seed, 0), size), axis=0) - draw.offset
+
+
+@pytest.mark.parametrize("model,lam_max,seed", [
+    (SPHERE, 42.0, 21), (TORUS_1X2, 42.0, 22), (TORUS_1X2, 2000.0, 23)])
+def test_band_mixture_gives_the_moments_of_w(model, lam_max, seed):
+    # W_C = sum_l var_l (G_l - mult_l): mean 0 and variance 2 sum mult var^2;
+    # the cumulants 2k v^2 and 48k v^4 of v chi^2_k give the sampling errors
+    n = 200000
+    draw = _draw(model, 1.0, 1.0, lam_max, 0, gff._CHUNK)
+    assert any(prob is not None for _, _, prob, _ in draw.bands)
+    lams, mults = eigen_arrays(model, lam_max)
+    var = 1.0 / (1.0 + lams)
+    k2, k4 = 2.0 * np.sum(mults * var ** 2), 48.0 * np.sum(mults * var ** 4)
+    w = _reference_w(draw, seed, n)
+    assert abs(w.mean()) <= 4.0 * math.sqrt(k2 / n)
+    assert abs(w.var() - k2) <= 4.0 * math.sqrt((k4 + 2.0 * k2 * k2) / n)
+
+
+def test_band_counts():
+    # verify-all's sphere: the measured line and one band for the other six
+    assert len(_draw(SPHERE, 1.0, 1.0, 42.0, 0, gff._CHUNK).bands) == 2
+    # 632 lines at lambda <= 4e5: at most a tenth as many bands
+    lams, _ = eigen_arrays(SPHERE, 4e5)
+    assert len(_draw(SPHERE, 1.0, 1.0, 4e5, 0, gff._CHUNK).bands) <= lams.size // 10
+    # the torus 1 x 2 at lambda <= 2000, drawn in CI at --threads 1 and 3:
+    # the measured line and at least two bands
+    assert len(_draw(TORUS_1X2, 1.0, 1.0, 2000.0, 0, gff._CHUNK).bands) >= 3

@@ -178,6 +178,31 @@ def test_laurent_finite_part_matches_heat_integral(spec, msq):
     assert abs(fit.residue - heat_coeffs(model, msq).a_minus1) <= 4.0 * EPS * fit.residue
 
 
+def test_torus_finite_part_rounding_scales_with_the_terms(monkeypatch):
+    # on the 40 x 40 torus at m^2 = 1 the s = 0 finite part, -1.2e-10, is the
+    # sum of row terms of order 10^2 and a far-row term of the same size.  The
+    # rows |p| <= 48 summed over all q have the closed form
+    # sum_q 1/(c + be q^2) = pi/sqrt(c be) coth(pi sqrt(c/be)).
+    model = parse_surface("torus:L1=40,L2=40")
+    fit = laurent_fit(model, 1.0)
+    integral = heat_integral(model, 1.0)
+    assert abs(fit.finite_part - integral.value) <= fit.err_bound + integral.abs_error_bound
+    al = be = (2.0 * math.pi / 40.0) ** 2
+    c = 1.0 + al * np.arange(-48, 49) ** 2.0
+    rows = math.fsum((math.pi / np.sqrt(c * be) / np.tanh(math.pi * np.sqrt(c / be))).tolist())
+    terms = rows + abs(fit.finite_part - rows)
+    # with the Euler-Maclaurin remainders zeroed, what is left of the bound is
+    # the rounding term (the Poisson-dual term is e^{-300})
+    real = zeta._sum1d_tail
+
+    def without_remainder(*args, **kwargs):
+        value, bound = real(*args, **kwargs)
+        return value, 0.0 * bound
+
+    monkeypatch.setattr(zeta, "_sum1d_tail", without_remainder)
+    assert zeta._dirichlet_torus(model, 1.0, 0.0).err_bound >= 1e-16 * terms
+
+
 @pytest.mark.parametrize("spec", ["sphere:R=1", "torus:L1=1,L2=1", "torus:L1=1,L2=2"])
 def test_laurent_finite_part_bound_is_tight(spec):
     model = parse_surface(spec)
