@@ -29,7 +29,7 @@ from .green import det2, gamma0
 from .heat import _check_mass, _exp, heat_integral
 from .sumtools import neville_zero
 from .surfaces import SurfaceModel
-from .zeta import laurent_fit, zeta_det
+from .zeta import _prefetch, laurent_fit, zeta_det
 
 __all__ = [
     "AnomalyReport",
@@ -70,9 +70,11 @@ class AnomalyReport:
 
 def verify_anomaly(model: SurfaceModel, m0sq: float, m1sq: float,
                    tol: float = 1e-6) -> AnomalyReport:
-    """Check the determinant mass-shift identity at (m0^2, m1^2)."""
+    """Check the determinant mass-shift identity at (m0^2, m1^2); the
+    determinants and heat integral that the memos lack take one pass."""
     _check_mass("m0sq", m0sq)
     _check_mass("m1sq", m1sq, positive=False)
+    _prefetch(model, [(m0sq + m1sq, 0), (m0sq, 0)], [m0sq])
     z_shift = zeta_det(model, m0sq + m1sq)
     z_base = zeta_det(model, m0sq)
     d2 = det2(model, m0sq, m1sq)
@@ -145,6 +147,7 @@ def verify_massless(model: SurfaceModel, sigma: float,
 
     # (i) det_zeta(m0^2 + Delta)/m0^2 -> det'_zeta(Delta), Richardson in m0^2
     hs = [m * m for m in seq]
+    _prefetch(model, [(h, 0) for h in hs] + [(0.0, 1), (sigma, 0)] + [(sigma + h, 0) for h in hs])
     ratios = [zeta_det(model, h).det_zeta / h for h in hs]
     extrap, extrap_err = neville_zero(hs, ratios)
     detprime = zeta_det(model, 0.0, exclude_zero_mode=True).det_zeta

@@ -355,12 +355,15 @@ def _default_threads() -> int:
                           f"integer, got {env!r}") from None
 
 
-def _build_parser() -> _Parser:
-    threads = _default_threads()
+def _build_parser(command: str | None) -> _Parser:
+    """Every command's subparser, with options only on `command`'s: the parser
+    reads just the command that its first argument names."""
     parser = _Parser(prog="zetasurf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
+        if name != command:
+            continue
         p.add_argument("--surface", default="sphere:R=1",
                        help="sphere:R=<float> or torus:L1=<float>,L2=<float>")
         p.add_argument("--m0", type=float, default=1.0, help="bare mass m0")
@@ -372,7 +375,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--samples", type=int, default=1000000)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int, default=threads)
+        p.add_argument("--threads", type=int, default=_default_threads())
         if name == "heat-trace":
             p.add_argument("--t", type=float, action="append", default=None)
         if name == "gff-verify":
@@ -412,7 +415,8 @@ def _validate_config(args) -> None:
 def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

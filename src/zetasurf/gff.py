@@ -64,7 +64,7 @@ import numpy as np
 from .anomaly import _exp
 from .green import det2
 from .heat import _check_mass
-from .surfaces import _MAX_SPECTRUM_POINTS, SurfaceModel, _spectrum_size, eigen_arrays
+from .surfaces import _MAX_SPECTRUM_POINTS, SurfaceModel, eigen_arrays
 
 __all__ = ["MCEstimate", "measure_estimates"]
 
@@ -86,19 +86,25 @@ class MCEstimate:
     z_score: float
 
 
-def _checked_spectrum(model: SurfaceModel, lam_max: float,
-                      rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, multiplicities) of the lines, refused before anything is
-    built unless one chunk's draw, rows x (bands + 1) plus the alias tables,
-    fits the budget at one band per line.  The draw allocates nothing per mode,
-    so only `eigen_arrays`' own budget bounds its spectrum."""
-    lines, modes = _spectrum_size(model, max(lam_max, 0.0))  # eigen_arrays rejects lam_max < 0
-    draw = rows * (lines + 1.0) + lines * min(rows, _MAX_TABLE)
-    if draw > _MAX_SPECTRUM_POINTS:
-        raise ValueError(
-            f"lam_max={lam_max:g} needs {draw:.2g} draws per chunk ({rows} rows over "
-            f"{lines:.2g} lines, {modes:.2g} modes) on {model.label()}, over the "
-            f"budget of {_MAX_SPECTRUM_POINTS:.0e}")
+def _checked_spectrum(model: SurfaceModel, lam_max: float, rows: int,
+                      m0sq: float) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, multiplicities) of the lines; `eigen_arrays` refuses a
+    spectrum over its own budget before building it.  On the sphere a draw
+    over the budget at its least band count is refused first: J >= E[N]
+    (ln G(z) >= (z - 1) E[N] >= E[N] ln z), and on the lines with
+    k(k + 1) >= m0^2 R^2 a band of n of them has E[N] >= n(n - 1)/2, so at
+    most n_max of them share a band of J <= min(rows, _MAX_TABLE)."""
+    if model.kind == "sphere":
+        limit, root = min(rows, _MAX_TABLE), model.radius * math.sqrt(max(lam_max, 0.0))
+        n_max = math.floor((1.0 + math.sqrt(1.0 + 8.0 * limit)) / 2.0)
+        # more than root - m0 R - 4 such lines besides the measured one
+        bands = max(0.0, root - math.sqrt(m0sq) * model.radius - 4.0) / n_max
+        if rows * (bands + 1.0) + bands > _MAX_SPECTRUM_POINTS:
+            raise ValueError(
+                f"lam_max={lam_max:g} needs over {rows * (bands + 1.0):.2g} draws per chunk "
+                f"({rows} rows over at least {bands:.0f} bands of {root:.2g} lines, "
+                f"{root * root:.2g} modes) on {model.label()}, over the budget of "
+                f"{_MAX_SPECTRUM_POINTS:.0e}")
     lams, mults = eigen_arrays(model, lam_max)
     if lams.size < 2:
         raise ValueError("lam_max must cover at least 2 spectral lines")
@@ -118,14 +124,26 @@ def _table_size(var: np.ndarray, mults: np.ndarray) -> int:
     return math.ceil(np.min((log_g + 64.0 * math.log(2.0)) / (np.log1p(-d) - log_q0)))
 
 
-def _band_edges(var: np.ndarray, mults: np.ndarray, limit: int) -> list[int]:
-    """The first line of each band, then the line count: a band takes the next
-    line while its table stays within limit."""
-    edges = [0]
-    for j in range(1, var.size):
-        if _table_size(var[edges[-1]:j + 1], mults[edges[-1]:j + 1]) > limit:
-            edges.append(j)
-    return edges + [var.size]
+def _band_edges(var: np.ndarray, mults: np.ndarray, rows: int) -> tuple[list[int], float]:
+    """The first line of each band, then the line count, and one chunk's draw,
+    rows x (bands + 1) plus the tables' sum of J, cut short once over the
+    budget.  A band takes lines while its J <= min(rows, _MAX_TABLE); J grows
+    with the band on the spectra tested (not proven), so its end is bisected."""
+    limit, edges, draw = min(rows, _MAX_TABLE), [0], float(rows)
+    while edges[-1] < var.size and draw <= _MAX_SPECTRUM_POINTS:
+        start = edges[-1]
+        # [start, fits) fits and [start, over) does not; the first step is the last band's size
+        fits, size, over, step = start + 1, 1, None, max(1, start - edges[-2:][0])
+        while fits < var.size and (over is None or over - fits > 1):
+            end = min(fits + step, var.size) if over is None else (fits + over) // 2
+            j = _table_size(var[start:end], mults[start:end])
+            if j <= limit:
+                fits, size, step = end, j, 2 * step
+            else:
+                over = end
+        edges.append(fits)
+        draw += rows + size
+    return edges, draw
 
 
 def _band(var: np.ndarray, mults: np.ndarray) -> tuple:
@@ -162,7 +180,12 @@ class _Draw:
     def __init__(self, m0sq, m1sq, lams, mults, line, rows):
         var = 1.0 / (m0sq + lams)
         others, counts = np.delete(var, line), np.delete(mults, line)
-        edges = _band_edges(others, counts, min(rows, _MAX_TABLE))
+        edges, draw = _band_edges(others, counts, rows)
+        if draw > _MAX_SPECTRUM_POINTS:
+            raise ValueError(
+                f"the {lams.size} lines up to lambda = {lams[-1]:g} ({np.sum(mults):.2g} modes) "
+                f"need over {draw:.2g} draws per chunk ({rows} rows over at least "
+                f"{len(edges) - 1} bands), over the budget of {_MAX_SPECTRUM_POINTS:.0e}")
         self.bands = [_band(others[i:j], counts[i:j]) for i, j in zip(edges, edges[1:])]
         self.bands.append(_band(var[line:line + 1], mults[line:line + 1]))
         self.share = 0.5 * (mults[line] - 1.0)   # Beta(1/2, share); 0 on a mult-1 line
@@ -295,7 +318,7 @@ def _start(model, m0, m1, lam_max, n, seed, threads, mode):
     if seed < 0:
         raise ValueError("seed must be >= 0")
     chunk, rows = _CHUNK, min(_CHUNK, n)
-    lams, mults = _checked_spectrum(model, lam_max, rows)
+    lams, mults = _checked_spectrum(model, lam_max, rows, m0 * m0)
     ends = np.cumsum(mults)
     if not 0 <= mode < int(ends[-1]):
         raise ValueError(f"mode must be in [0, {int(ends[-1])})")

@@ -67,9 +67,10 @@ massless E, and `log_quadrature` puts its nodes on one log-t lattice for
 every window whose ends lie on it (`sumtools`).  `_weyl_excess` therefore
 keeps one table of E at the quadrature nodes per surface, a (2, n) array of
 the exact float t over E, read with `searchsorted`; the t it lacks go through
-the branches above and are merged in at once.  The single-point tails at
-t_hi bypass it.  As E(t) depends on t alone, a warm table returns the values
-a cold one would compute, and each update is one assignment.  The table holds
+the branches above and are merged in at once.  The tail points t_hi join the
+first batch of their pass (`_solve`) and are stored with the nodes.  As E(t)
+depends on t alone, a warm table returns the values a cold one would
+compute, and each update is one assignment.  The table holds
 at most _EXCESS_CAP = 2^18 nodes over all surfaces (4 MB).  Once a batch's
 new nodes would exceed that, the other surfaces' tables are cleared, as the
 result memos are; a surface whose own table would exceed it is not stored.
@@ -82,7 +83,8 @@ With y = m^2 t the massive remainder follows exactly,
 with e^{-y} - 1 taken from expm1.  It is the integrand of the Mellin F
 integral in `zeta`, e^{-y} (chi/6 + E) is the `heat_integral` integrand, and
 the trace itself is theta_E = e^{-y} (a_{-1}/t + chi/6 + E).  So a new mass
-costs only its factors e^{-y} and expm1(-y) and the panel sums.
+costs only its factors e^{-y} and expm1(-y) and the panel sums, and `_solve`
+integrates the F, G and heat windows of several masses in one pass (`_rows`).
 
 Closed form on [0, T].  Both integrals start their quadrature at T = e^k,
 the greatest such point at most the window's end and 0.05 R^2 (sphere) or
@@ -356,18 +358,48 @@ def _small_t_pieces(model: SurfaceModel, msq: float, t_end: float):
             math.fsum(heat_terms), 64.0 * _EPS * float(np.abs(heat_terms).sum()))
 
 
-def _remainder(model: SurfaceModel, msq: float, t: np.ndarray) -> np.ndarray:
-    """theta_E(t) - a_{-1}/t - a_0, without cancellation (module docstring)."""
-    y = msq * t
-    em1 = np.expm1(-y)
-    return ((em1 + y) * (model.area / (_FOUR_PI * t)) + em1 * (model.euler_char / 6.0)
-            + np.exp(-y) * _weyl_excess(model, t))
+def _rows(model: SurfaceModel, rows, t: np.ndarray, excess: np.ndarray) -> np.ndarray:
+    """The integrand rows at t for rows of (kind, m^2, n0), from one E and one
+    e^{-m^2 t} per mass: "f" the Mellin F integrand (theta_E - a_{-1}/t - a_0)/t
+    (module docstring), "g" the G integrand (theta_E - n0)/t, "heat" the
+    heat_integral integrand e^{-m^2 t} (chi/6 + E)."""
+    a_t, c0 = model.area / (_FOUR_PI * t), model.euler_char / 6.0
+    decay, out = {msq: np.exp(-msq * t) for _, msq, _ in rows}, np.empty((len(rows), t.size))
+    for row, (kind, msq, n0) in zip(out, rows):
+        if kind == "f":
+            em1 = np.expm1(-msq * t)
+            row[:] = ((em1 + msq * t) * a_t + em1 * c0 + decay[msq] * excess) / t
+        elif kind == "g":
+            row[:] = (decay[msq] * (a_t + c0 + excess) - n0) / t
+        else:
+            row[:] = decay[msq] * (c0 + excess)
+    return out
 
 
-def _theta(model: SurfaceModel, msq: float, t: np.ndarray, table: bool = True) -> np.ndarray:
-    """theta_E(t) = e^{-m^2 t} (a_{-1}/t + chi/6 + E(t)); the tails skip the table."""
-    excess = _weyl_excess(model, t) if table else _excess_at(model, t)
+def _theta(model: SurfaceModel, msq: float, t: np.ndarray, excess=None) -> np.ndarray:
+    """theta_E(t) = e^{-m^2 t} (a_{-1}/t + chi/6 + E(t)), E from the table unless given."""
+    excess = _weyl_excess(model, t) if excess is None else excess
     return np.exp(-msq * t) * (model.area / (_FOUR_PI * t) + model.euler_char / 6.0 + excess)
+
+
+def _solve(model: SurfaceModel, jobs: list) -> list:
+    """The entries of jobs (windows, tail point, finish) from one `log_quadrature`
+    call over all their windows (t_lo, t_hi, abs_tol, row of `_rows`).  E at
+    the tail points joins its first batch; each finish(its windows'
+    quadratures, E at its tail point) computes and remembers its entry."""
+    windows = [w for ws, _, _ in jobs for w in ws]
+    tails = np.array(sorted({tail for _, tail, _ in jobs}))
+    at_tails = {}
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        excess = _weyl_excess(model, t if at_tails else np.concatenate([t, tails]))
+        at_tails.update(zip(tails.tolist(), excess[t.size:].tolist()))
+        return _rows(model, [w[3] for w in windows], t, excess[:t.size])
+
+    quads = iter(log_quadrature(integrand, *zip(*[w[:3] for w in windows])) if windows else ())
+    if not at_tails:
+        at_tails.update(zip(tails.tolist(), _weyl_excess(model, tails).tolist()))
+    return [finish([next(quads) for _ in ws], at_tails[tail]) for ws, tail, finish in jobs]
 
 
 def heat_trace(model: SurfaceModel, msq: float, t):
@@ -421,17 +453,25 @@ def heat_integral(model: SurfaceModel, msq: float, abs_tol: float = 1e-8,
     key = (model, msq, abs_tol, t_lo, t_hi)
     result = _HEAT_MEMO.get(key)
     if result is None:
-        a_m1 = model.area / _FOUR_PI
+        result = _solve(model, [_heat_job(key)])[0]
+    if not (result.abs_error_bound <= abs_tol):
+        raise ValueError(f"heat_integral bound {result.abs_error_bound:.3e} "
+                         f"exceeds abs_tol {abs_tol:.3e}")
+    return result
 
-        def integrand(t: np.ndarray) -> np.ndarray:
-            return np.exp(-msq * t) * (model.euler_char / 6.0 + _weyl_excess(model, t))
 
-        quad = (log_quadrature(integrand, t_lo, t_hi, abs_tol=min(abs_tol * 1e-2, 1e-11))
-                if t_lo < t_hi else QuadratureResult(0.0, 0.0))
+def _heat_job(key: tuple) -> tuple:
+    """The `_solve` job of the heat_integral entry of key = (model, m^2, abs_tol,
+    t_lo, t_hi)."""
+    model, msq, abs_tol, t_lo, t_hi = key
+    a_m1 = model.area / _FOUR_PI
+
+    def finish(quads, excess_hi: float) -> HeatIntegral:
+        quad = quads[0] if quads else QuadratureResult(0.0, 0.0)
         _, _, closed, closed_bound = _small_t_pieces(model, msq, t_lo)   # [0, t_lo]
 
         # [t_hi, inf): both terms decay at least like e^{-msq t}
-        theta_hi = float(_theta(model, msq, np.array([t_hi]), table=False)[0])
+        theta_hi = float(_theta(model, msq, np.array([t_hi]), np.array([excess_hi]))[0])
         ref_hi = (a_m1 / t_hi) * math.exp(-msq * t_hi)
         tail_bound = (theta_hi + ref_hi) / msq
 
@@ -453,7 +493,8 @@ def heat_integral(model: SurfaceModel, msq: float, abs_tol: float = 1e-8,
                         "series_bound": series_bound, "assembly_bound": assembly})
         result = HeatIntegral(value=value, abs_error_bound=bound, quadrature_profile=profile)
         _remember(_HEAT_MEMO, key, result)
-    if not (result.abs_error_bound <= abs_tol):
-        raise ValueError(f"heat_integral bound {result.abs_error_bound:.3e} "
-                         f"exceeds abs_tol {abs_tol:.3e}")
-    return result
+        return result
+
+    windows = ([(t_lo, t_hi, min(abs_tol * 1e-2, 1e-11), ("heat", msq, 0))]
+               if t_lo < t_hi else [])
+    return windows, t_hi, finish

@@ -5,7 +5,8 @@ All spectral sums in this package go through compensated (exact) or pairwise
 summation so that 1e-8-level tolerances are not eaten by rounding drift in
 long sums.  The quadrature engine integrates smooth integrands on (0, inf)
 after the substitution u = ln t, with a per-panel Gauss-Legendre doubling
-test that yields an explicit error bound.
+test that yields an explicit error bound: each panel's value is its 18-node
+sum and its error the distance to its 12-node sum (_N_HI, _N_LO).
 
 Integrand contract.  `log_quadrature` hands its integrand every node of a
 pass at once: the initial partition in one call, then both children of each
@@ -13,7 +14,12 @@ bisection in one call.  The integrand must therefore be elementwise in t: its
 value at a node may not depend on which other nodes share the batch.  With
 that, each panel's two Gauss-Legendre sums are row reductions of the same
 products as a panel-by-panel evaluation, and the per-call overhead is paid
-once per pass, not once per panel and rule.
+once per pass, not once per panel and rule.  Several windows, each with its
+own tolerance, share the passes: the integrand returns one row per window,
+the first pass evaluates the union of their initial panels, keyed by their
+exact ends, and each later pass the children of every unconverged window's
+worst panel.  A window so gets exactly the panels, nodes and values it
+would get alone; one window is the case of one row.
 
 Log-t lattice.  The initial panels of a window [t_lo, t_hi] end at the
 integers of u = ln t strictly inside (ln t_lo, ln t_hi) and at the window's
@@ -82,59 +88,77 @@ class QuadratureResult:
         }
 
 
-def _panel_pass(fn, u_lo: np.ndarray, u_hi: np.ndarray, n_lo: int, n_hi: int):
-    """Lists of the values and doubling errors of the panels [u_lo[i], u_hi[i]],
-    from one fn call on a (panels x (n_lo + n_hi)) node grid."""
+# Gauss-Legendre nodes per panel: the value is the _N_HI rule, its error
+# estimate the difference from the _N_LO rule
+_N_LO, _N_HI = 12, 18
+
+
+def _panel_pass(fn, rows: int, u_lo: np.ndarray, u_hi: np.ndarray):
+    """(rows x panels) lists of the values and doubling errors of the panels
+    [u_lo[i], u_hi[i]] under each row of fn, from one fn call on a
+    (panels x (_N_LO + _N_HI)) node grid."""
     half = 0.5 * (u_hi - u_lo)
     mid = 0.5 * (u_hi + u_lo)
-    x_lo, w_lo = _gl_nodes(n_lo)
-    x_hi, w_hi = _gl_nodes(n_hi)
+    x_lo, w_lo = _gl_nodes(_N_LO)
+    x_hi, w_hi = _gl_nodes(_N_HI)
     t = np.exp(mid[:, None] + half[:, None] * np.concatenate([x_lo, x_hi]))
-    f = (fn(t.ravel()) * t.ravel()).reshape(t.shape)  # dt = t du
-    # one row reduction per panel and rule, the same sum as a single panel's
-    v_lo = half * np.sum(w_lo * f[:, :n_lo], axis=1)
-    v_hi = half * np.sum(w_hi * f[:, n_lo:], axis=1)
-    return v_hi.tolist(), np.abs(v_hi - v_lo).tolist()
+    f = np.reshape(fn(t.ravel()), (rows,) + t.shape) * t   # dt = t du
+    # one row reduction per panel, rule and row: the same sum as a single panel's
+    v_lo = half * np.sum(w_lo * f[..., :_N_LO], axis=-1)
+    v_hi = half * np.sum(w_hi * f[..., _N_LO:], axis=-1)
+    return v_hi.T.tolist(), np.abs(v_hi - v_lo).T.tolist()
 
 
-def log_quadrature(fn, t_lo: float, t_hi: float, abs_tol: float = 1e-12,
-                   n_lo: int = 32, n_hi: int = 48, max_splits: int = 60) -> QuadratureResult:
+def log_quadrature(fn, t_lo, t_hi, abs_tol=1e-12, max_splits: int = 60):
     """Integrate fn(t) dt over [t_lo, t_hi] on a log axis with a certified bound.
 
-    fn must accept a 1-D numpy array of t values and return the integrand at
-    each, elementwise (module docstring): it is called once for the initial
-    panels, cut at the integers of ln t (module docstring), and once per
-    bisection, on both children's nodes, so a result takes 1 + splits calls.
-    The window must be finite: 0 < t_lo < t_hi < inf.  Panels are refined
-    (worst-first bisection) until the summed Gauss-Legendre doubling
-    discrepancy drops below abs_tol or the split budget is exhausted; the
-    achieved bound is always reported, plus a rounding floor of 4 ulps of
-    the summed |panel values| that the split test does not see.
+    fn takes a 1-D array of t and returns the integrand at each, elementwise;
+    t_lo, t_hi and abs_tol may be sequences, one entry per window, and then fn
+    returns one row per window and a list of results comes back (module
+    docstring).  A window takes 1 + splits calls, and must be finite:
+    0 < t_lo < t_hi < inf.  Its panels, first cut at the integers of ln t, are
+    bisected worst first until the summed doubling discrepancy drops below
+    its abs_tol or the split budget is spent; the achieved bound is reported,
+    plus a rounding floor of 4 ulps of the summed |panel values| that the
+    split test does not see.
     """
-    if not (0.0 < t_lo < t_hi < math.inf):
-        raise ValueError(f"log_quadrature requires 0 < t_lo < t_hi < inf, "
-                         f"got t_lo={t_lo!r}, t_hi={t_hi!r}")
-    u_lo, u_hi = math.log(t_lo), math.log(t_hi)
-    # the integers of u strictly inside the window (module docstring)
-    inner = np.arange(math.floor(u_lo) + 1, math.ceil(u_hi), dtype=float)
-    edges = np.concatenate([[u_lo], inner, [u_hi]])
-    vals, errs = _panel_pass(fn, edges[:-1], edges[1:], n_lo, n_hi)
-    panels = [list(p) for p in zip(edges[:-1].tolist(), edges[1:].tolist(), errs, vals)]
+    los, his = np.atleast_1d(t_lo).tolist(), np.atleast_1d(t_hi).tolist()
+    tols = np.atleast_1d(abs_tol).tolist() * (1 if np.ndim(abs_tol) else len(los))
+    done: dict[tuple, tuple] = {}   # (u_lo, u_hi) -> (values, errors), one per window
 
-    splits = 0
-    while splits < max_splits and sum(p[2] for p in panels) > abs_tol:
-        worst = max(range(len(panels)), key=lambda i: panels[i][2])
-        a, b, _, _ = panels[worst]
-        mid = 0.5 * (a + b)
-        vals, errs = _panel_pass(fn, np.array([a, mid]), np.array([mid, b]), n_lo, n_hi)
-        panels[worst:worst + 1] = [[a, mid, errs[0], vals[0]], [mid, b, errs[1], vals[1]]]
-        splits += 1
+    def evaluate(keys):   # one fn call on the panels not evaluated yet
+        new = list(dict.fromkeys(k for k in keys if k not in done))
+        if new:
+            ends = np.array(new)
+            done.update(zip(new, zip(*_panel_pass(fn, len(los), ends[:, 0], ends[:, 1]))))
 
-    value = math.fsum(p[3] for p in panels)
-    floor = 4.0 * _EPS * math.fsum(abs(p[3]) for p in panels)   # not seen by the split test
-    bound = math.fsum(p[2] for p in panels) + floor
-    return QuadratureResult(value, bound, [(p[0], p[1], p[2]) for p in panels],
-                            splits, max_splits)
+    windows = []   # each window's panels, in order
+    for a, b in zip(los, his):
+        if not (0.0 < a < b < math.inf):
+            raise ValueError(f"log_quadrature requires 0 < t_lo < t_hi < inf, "
+                             f"got t_lo={a!r}, t_hi={b!r}")
+        u_lo, u_hi = math.log(a), math.log(b)
+        # the integers of u strictly inside the window (module docstring)
+        edges = [u_lo, *map(float, range(math.floor(u_lo) + 1, math.ceil(u_hi))), u_hi]
+        windows.append(list(zip(edges[:-1], edges[1:])))
+    evaluate([key for keys in windows for key in keys])
+    splits = [0] * len(los)
+    while worst := {i: max(range(len(keys)), key=lambda j: done[keys[j]][1][i])
+                    for i, keys in enumerate(windows)
+                    if splits[i] < max_splits and sum(done[k][1][i] for k in keys) > tols[i]}:
+        for i, j in worst.items():
+            a, b = windows[i][j]
+            windows[i][j:j + 1] = [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
+            splits[i] += 1
+        evaluate([key for i, j in worst.items() for key in windows[i][j:j + 2]])
+
+    results = []
+    for i, keys in enumerate(windows):
+        vals, errs = [done[k][0][i] for k in keys], [done[k][1][i] for k in keys]
+        floor = 4.0 * _EPS * math.fsum(map(abs, vals))   # not seen by the split test
+        results.append(QuadratureResult(math.fsum(vals), math.fsum(errs) + floor,
+                                        [(*k, e) for k, e in zip(keys, errs)], splits[i], max_splits))
+    return results[0] if np.ndim(t_lo) == 0 else results
 
 
 def _lattice_ceil(t: float) -> float:

@@ -36,9 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import beta as _beta_fn, betainc as _betainc, gammaln as _gammaln
 
-from .heat import (_EXP_CUT, _check_mass, _closed_form_end, _exp, _remainder, _remember,
-                   _series_bound, _small_t_pieces, _switch, _theta, heat_coeffs)
-from .sumtools import _EPS, QuadratureResult, _lattice_ceil, log_quadrature, stable_sum
+from . import heat
+from .heat import (_EXP_CUT, _check_mass, _closed_form_end, _exp, _heat_job, _remember,
+                   _series_bound, _small_t_pieces, _solve, _switch, _theta, heat_coeffs)
+from .sumtools import _EPS, QuadratureResult, _lattice_ceil, stable_sum
 from .surfaces import SurfaceModel, first_positive_eigenvalue
 
 __all__ = [
@@ -51,8 +52,8 @@ __all__ = [
 ]
 
 _EULER = float(np.euler_gamma)
-# (zeta0, zeta'(0), bound) per (model, msq, n0, t_star); capped like heat's memo
-_ZETA_MEMO: dict[tuple, tuple[float, float, float]] = {}
+# the ZetaResult per (model, msq, n0, t_star), shared; capped like heat's memo
+_ZETA_MEMO: dict[tuple, ZetaResult] = {}
 
 
 @dataclass(frozen=True)
@@ -79,38 +80,60 @@ class LaurentFit:
 
 # --------------------------------------------------------------- Mellin side
 
-def _mellin_pieces(model: SurfaceModel, msq: float, n0: int, t_star: float):
-    """F(0), G(0) and their certified bounds for the split formula."""
+def _zeta_job(key: tuple) -> tuple:
+    """The `_solve` job of the zeta_det result of key = (model, m^2, n0, t*):
+    F(0) and G(0) of the split formula, assembled."""
+    model, msq, n0, t_star = key
     coeffs = heat_coeffs(model, msq)
-    a_m1, a_0 = coeffs.a_minus1, coeffs.a_0
-
-    def rho(t: np.ndarray) -> np.ndarray:
-        # (theta~ - a_{-1}/t - a0~)/t; the zero-mode shift cancels in a0~.
-        return _remainder(model, msq, t) / t
-
-    # [0, T] in closed form, [T, t*] by quadrature
+    a_m1, a0t = coeffs.a_minus1, coeffs.a_0 - n0
+    # [0, T] in closed form, [T, t*] by quadrature; the zero-mode shift cancels
+    # in F's integrand (theta~ - a_{-1}/t - a0~)/t
     t_lo = _closed_form_end(model, t_star)
-    f_closed, f_closed_bound, _, _ = _small_t_pieces(model, msq, t_lo)
-    quad_f = (log_quadrature(rho, t_lo, t_star, abs_tol=1e-12) if t_lo < t_star
-              else QuadratureResult(0.0, 0.0))
-    f0 = f_closed + quad_f.value
-    # E above the switch s carries at most 4 ulps of a_{-1}/t: int_s^t* dt/t^2
-    e_rounding = 4.0 * _EPS * a_m1 * max(0.0, 1.0 / _switch(model) - 1.0 / t_star)
-    f_bound = f_closed_bound + quad_f.err_bound + e_rounding + _series_bound(model, t_star)
-
     mu = msq + (first_positive_eigenvalue(model) if n0 else 0.0)
     # on the log-t lattice, so that every mass reads the same table nodes
     t_hi = _lattice_ceil(max(_EXP_CUT / mu, 2.0 * t_star))
+    windows = [(t_star, t_hi, 1e-12, ("g", msq, n0))]
+    if t_lo < t_star:
+        windows.insert(0, (t_lo, t_star, 1e-12, ("f", msq, 0)))
 
-    def theta_over_t(t: np.ndarray) -> np.ndarray:
-        return (_theta(model, msq, t) - n0) / t
+    def finish(quads, excess_hi: float) -> ZetaResult:
+        quad_f = quads[0] if t_lo < t_star else QuadratureResult(0.0, 0.0)
+        f_closed, f_closed_bound, _, _ = _small_t_pieces(model, msq, t_lo)
+        f0 = f_closed + quad_f.value
+        # E above the switch s carries at most 4 ulps of a_{-1}/t: int_s^t* dt/t^2
+        e_rounding = 4.0 * _EPS * a_m1 * max(0.0, 1.0 / _switch(model) - 1.0 / t_star)
+        f_bound = f_closed_bound + quad_f.err_bound + e_rounding + _series_bound(model, t_star)
+        theta_hi = float(_theta(model, msq, np.array([t_hi]), np.array([excess_hi]))[0]) - n0
+        g_bound = quads[-1].err_bound + abs(theta_hi) / (mu * t_hi)
+        terms = (f0, quads[-1].value, -a_m1 / t_star, a0t * math.log(t_star), _EULER * a0t)
+        # rounding of each term and of a_{-1}
+        assembly = 4.0 * _EPS * math.fsum(abs(x) for x in terms)
+        zeta_prime0 = math.fsum(terms)
+        # det_zeta is inf once zeta'(0) < -709.78; zeta_prime0 stays its certified log
+        result = ZetaResult(zeta0=a0t, zeta_prime0=zeta_prime0, det_zeta=_exp(-zeta_prime0),
+                            err_bound=f_bound + g_bound + assembly, excluded_zero_modes=n0)
+        _remember(_ZETA_MEMO, key, result)
+        return result
 
-    quad_g = log_quadrature(theta_over_t, t_star, t_hi, abs_tol=1e-12)
-    theta_hi = float(_theta(model, msq, np.array([t_hi]), table=False)[0]) - n0
-    g_tail = abs(theta_hi) / (mu * t_hi)
-    g0 = quad_g.value
-    g_bound = quad_g.err_bound + g_tail
-    return f0, f_bound, g0, g_bound, a_m1, a_0
+    return windows, t_hi, finish
+
+
+def _prefetch(model: SurfaceModel, masses, heat_masses=()) -> None:
+    """The zeta_det entries at (m^2, n0) in masses and the heat_integral ones at
+    heat_masses, at their defaults, that the memos lack, in one pass; a
+    non-finite mass is left for the call itself to refuse."""
+    missing = {}
+    for msq, n0 in masses:
+        key = (model, msq, n0, 1.0)
+        if key not in _ZETA_MEMO and key not in missing and math.isfinite(msq):
+            missing[key] = _zeta_job(key)
+    for msq in heat_masses:
+        t_hi = _lattice_ceil(_EXP_CUT / msq)
+        key = (model, msq, 1e-8, _closed_form_end(model, t_hi), t_hi)
+        if key not in heat._HEAT_MEMO:   # through the module, which may rebind its memo
+            missing[key] = _heat_job(key)
+    if missing:
+        _solve(model, list(missing.values()))
 
 
 def zeta_det(model: SurfaceModel, msq: float, exclude_zero_mode: bool = False,
@@ -127,23 +150,13 @@ def zeta_det(model: SurfaceModel, msq: float, exclude_zero_mode: bool = False,
         raise ValueError(f"t_star must lie in (0, 1e300], got {t_star!r}")
     n0 = 1 if (exclude_zero_mode and msq == 0.0) else 0
     key = (model, msq, n0, t_star)
-    entry = _ZETA_MEMO.get(key)
-    if entry is None:
-        f0, f_bound, g0, g_bound, a_m1, a_0 = _mellin_pieces(model, msq, n0, t_star)
-        a0t = a_0 - n0
-        terms = (f0, g0, -a_m1 / t_star, a0t * math.log(t_star), _EULER * a0t)
-        zeta_prime0 = math.fsum(terms)
-        # rounding of each term and of a_{-1}
-        assembly = 4.0 * _EPS * math.fsum(abs(x) for x in terms)
-        entry = (a0t, zeta_prime0, f_bound + g_bound + assembly)
-        _remember(_ZETA_MEMO, key, entry)
-    a0t, zeta_prime0, bound = entry
+    result = _ZETA_MEMO.get(key)
+    if result is None:
+        result = _solve(model, [_zeta_job(key)])[0]
     # tol only gates the result, so a remembered one is checked on every call
-    if not (bound <= tol):
-        raise ValueError(f"zeta_det bound {bound:.3e} exceeds tol {tol:.3e}")
-    # det_zeta is inf once zeta'(0) < -709.78; zeta_prime0 stays its certified log
-    return ZetaResult(zeta0=a0t, zeta_prime0=zeta_prime0, det_zeta=_exp(-zeta_prime0),
-                      err_bound=bound, excluded_zero_modes=n0)
+    if not (result.err_bound <= tol):
+        raise ValueError(f"zeta_det bound {result.err_bound:.3e} exceeds tol {tol:.3e}")
+    return result
 
 
 # ------------------------------------------------------ direct trace engine

@@ -269,17 +269,51 @@ def test_negative_seed_refused_before_any_helper_starts(monkeypatch):
     assert _RecordedThread.made == []
 
 
-def test_oversized_chunk_draw_refused_before_allocating():
-    # the modes fit the budget, but one chunk's draw does not: 65536 chi^2
-    # rows over 5001 lines
+def test_oversized_chunk_draw_refused_before_allocating(monkeypatch):
+    # the 24495 lines fit the spectrum budget, but their 431 bands do not: one
+    # chunk's draw is 65536 rows x 432 plus the tables.  Refused once the bands
+    # are known, before any table or chunk buffer: the peak is the line
+    # spectrum, under one chunk's buffer set (65536 x 33 bytes)
+    def no_table(*args):
+        raise AssertionError("a band table was built")
+
+    monkeypatch.setattr(gff, "_band", no_table)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="draws per chunk"):
-            measure_estimates(SPHERE, 1.0, 1.0, 2.5e7, n=100000, seed=1)
+        with pytest.raises(ValueError, match="over 3e.07 draws per chunk .65536 rows over at least 431 bands"):
+            measure_estimates(SPHERE, 1.0, 1.0, 6e8, n=100000, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak < 2 << 20
+
+
+def test_chunk_draw_admitted_at_its_real_band_count(monkeypatch):
+    # 5000 other lines: one band per line would be 65536 x 5001 draws, over the
+    # budget; their 106 bands need 65536 x 107 plus the tables, under it
+    monkeypatch.setattr(gff, "_band", lambda var, mults: (var[-1], 0.5 * mults.sum(), None, None))
+    lams, mults = gff._checked_spectrum(SPHERE, 2.5e7, gff._CHUNK, 1.0)
+    assert len(gff._Draw(1.0, 1.0, lams, mults, 0, gff._CHUNK).bands) == 107
+
+
+def _linear_band_edges(var, mults, limit):
+    """Band edges by trying every line in turn: the oracle for the bisection."""
+    edges = [0]
+    for j in range(1, var.size):
+        if gff._table_size(var[edges[-1]:j + 1], mults[edges[-1]:j + 1]) > limit:
+            edges.append(j)
+    return edges + [var.size]
+
+
+@pytest.mark.parametrize("model,lam_max", [(SPHERE, 4e5), (SPHERE, 5e7), (TORUS_1X2, 2000.0),
+                                           (make_surface("torus", L1=1.3, L2=0.7), 3e4)])
+def test_band_edges_match_a_line_by_line_scan(model, lam_max):
+    # the bisection assumes J grows with the band; these spectra hold it to that
+    lams, mults = eigen_arrays(model, lam_max)
+    var = 1.0 / (1.0 + lams)
+    edges, draw = gff._band_edges(var[1:], mults[1:], gff._CHUNK)
+    assert edges == _linear_band_edges(var[1:], mults[1:], gff._MAX_TABLE)
+    assert draw <= gff._MAX_SPECTRUM_POINTS
 
 
 @pytest.mark.parametrize("model", [SPHERE, TORUS_1X2])
@@ -333,7 +367,7 @@ def test_band_tables_match_the_convolved_negative_binomials(model, lam_max):
     lams, mults = eigen_arrays(model, lam_max)
     var = 1.0 / (1.0 + lams)
     var, mults = var[1:], mults[1:]             # the lines other than mode 0's
-    edges = gff._band_edges(var, mults, gff._MAX_TABLE)
+    edges, _ = gff._band_edges(var, mults, gff._MAX_TABLE)
     bands = [(i, j) for i, j in zip(edges, edges[1:]) if j - i > 1][:2]
     assert bands
     for i, j in bands:

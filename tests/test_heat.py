@@ -6,13 +6,18 @@ from scipy.integrate import quad
 
 from zetasurf import (eigen_arrays, heat, heat_coeffs, heat_integral, heat_trace, make_surface,
                       parse_surface, torus_cf_image_sum, zeta_det)
-from zetasurf.heat import (_SERIES_COEFFS, _SERIES_REM, _remainder, _small_t_excess,
+from zetasurf.heat import (_SERIES_COEFFS, _SERIES_REM, _rows, _small_t_excess,
                            _theta_direct, _weyl_excess)
 from zetasurf.sumtools import log_quadrature, neville_zero
 
 PI = math.pi
 SPHERE = make_surface("sphere", R=1)
 TORUS = make_surface("torus", L1=1, L2=1)
+
+
+def _f_row(model, msq, t):
+    """zeta_det's Mellin F integrand (theta_E - a_{-1}/t - a_0)/t."""
+    return _rows(model, [("f", msq, 0)], t, _weyl_excess(model, t))[0]
 
 
 def test_sphere_trace_against_direct_oracle():
@@ -161,7 +166,7 @@ def test_sphere_f_integrand_converges_within_split_budget(radius, msq):
     # the Mellin F integrand of zeta_det: without the cancellation-free
     # remainder its rounding floor sat above the 1e-12 target
     model = make_surface("sphere", R=radius)
-    quad = log_quadrature(lambda t: _remainder(model, msq, t) / t, 1e-5, 1.0,
+    quad = log_quadrature(lambda t: _f_row(model, msq, t), 1e-5, 1.0,
                           abs_tol=1e-12)
     assert quad.err_bound <= 1e-12
     assert quad.splits < quad.max_splits
@@ -185,7 +190,7 @@ def test_remainder_matches_direct_subtraction_at_moderate_t():
     for model in (SPHERE, TORUS):
         c = heat_coeffs(model, 1.5)
         direct = heat_trace(model, 1.5, ts) - c.a_minus1 / ts - c.a_0
-        assert np.allclose(_remainder(model, 1.5, ts), direct, rtol=0, atol=1e-13)
+        assert np.allclose(ts * _f_row(model, 1.5, ts), direct, rtol=0, atol=1e-13)
 
 
 def test_quadrature_profile_reports_split_budget():
