@@ -28,15 +28,14 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .anomaly import mass_shift_prefactor, verify_anomaly, verify_massless
+from .anomaly import verify_anomaly, verify_massless
 from .gff import _prefetch, measure_estimates
-from .green import cf_mean, det2, gamma0, torus_cf_image_sum
+from .green import cf_mean, det2, torus_cf_image_sum
 from .heat import heat_coeffs, heat_integral, heat_trace
-from .sumtools import _EPS, neville_zero
+from .sumtools import _EPS
 from .surfaces import parse_surface
 from .zeta import laurent_fit, zeta_det
 
-_EULER = float(np.euler_gamma)
 _FOUR_PI = 4.0 * math.pi
 
 COMMANDS = ("heat-trace", "det-zeta", "det2", "cf", "verify-anomaly",
@@ -185,13 +184,19 @@ def _cmd_cf(args) -> tuple[list, bool]:
            "quadrature_profile": integral.quadrature_profile}
     ok = True
     if model.kind == "torus":
-        image = torus_cf_image_sum(model.l1, model.l2, args.m0)
-        diff = abs(heat_part.cf_mean - image.cf_mean)
-        bound = heat_part.err_bound + image.err_bound
+        image, diff, bound = _cf_two_routes(heat_part, model, args.m0)
         ok = diff <= bound
-        rec.update({"cf_mean_image": image.cf_mean, "abs_diff": diff, "bound": bound})
+        rec.update({"cf_mean_image": image, "abs_diff": diff, "bound": bound})
     rec["pass"] = bool(ok)
     return [rec], ok
+
+
+def _cf_two_routes(heat_part, model, m0) -> tuple[float, float, float]:
+    """C_f on a torus by the image sum, its distance from the heat route's
+    heat_part and the sum of their err_bounds, which the distance may not exceed."""
+    image = torus_cf_image_sum(model.l1, model.l2, m0)
+    return (image.cf_mean, abs(heat_part.cf_mean - image.cf_mean),
+            heat_part.err_bound + image.err_bound)
 
 
 def _cmd_verify_anomaly(args) -> tuple[list, bool]:
@@ -286,38 +291,14 @@ def _verify_all_records(args, models) -> tuple[list, bool]:
     for model in models:
         results.append(_mainlemma_record(model, 1.0))
 
-    # heat coefficients: sphere constant 1/3, torus constant 0
-    sphere, torus11 = models[0], models[1]
-    ts = [0.02, 0.01, 0.005]
-    vals = [heat_trace(sphere, 0.0, t) - 1.0 / t for t in ts]
-    a0_fit, _ = neville_zero(ts, vals)
-    torus_const = heat_trace(torus11, 0.0, 0.01) - torus11.area / (_FOUR_PI * 0.01)
-    results.append({
-        "check": "heat-coefficients",
-        "sphere_a0_fit": a0_fit, "sphere_a0_exact": 1.0 / 3.0,
-        "torus_const_at_t_0.01": torus_const,
-        "pass": bool(abs(a0_fit - 1.0 / 3.0) < 1e-4 and abs(torus_const) < 1e-8),
-    })
-
     # two-oracle C_f on the unit torus
+    sphere, torus11 = models[0], models[1]
     heat_part = cf_mean(torus11, 1.0)
-    image = torus_cf_image_sum(1.0, 1.0, 1.0)
-    diff = abs(heat_part.cf_mean - image.cf_mean)
-    bound = heat_part.err_bound + image.err_bound
+    cf_image, diff, bound = _cf_two_routes(heat_part, torus11, 1.0)
     results.append({
         "check": "cf-two-oracle", "surface": torus11.label(),
-        "cf_heat": heat_part.cf_mean, "cf_image": image.cf_mean, "abs_diff": diff,
+        "cf_heat": heat_part.cf_mean, "cf_image": cf_image, "abs_diff": diff,
         "bound": bound, "pass": bool(diff <= bound),
-    })
-
-    # special bare mass 4 e^{-gamma}
-    m_special = 4.0 * math.exp(-_EULER)
-    g0 = gamma0(m_special)
-    pref = mass_shift_prefactor(sphere, m_special, 1.0)
-    results.append({
-        "check": "special-bare-mass", "m0": m_special, "gamma0": g0,
-        "prefactor": pref,
-        "pass": bool(abs(g0) < 1e-14 and abs(pref - 1.0) < 1e-12),
     })
 
     # massless limit on the sphere
@@ -388,6 +369,9 @@ def _validate_config(args) -> None:
     for flag in ("m0", "m1", "sigma", "tol", "lambda_max"):
         if not math.isfinite(getattr(args, flag)):
             raise ValueError(f"--{flag.replace('_', '-')} must be finite")
+    for flag in ("m0", "m1"):   # the masses enter squared
+        if not math.isfinite(getattr(args, flag) * getattr(args, flag)):
+            raise ValueError(f"--{flag}: its square must be finite")
     if args.m0 < 0:
         raise ValueError("--m0 must be >= 0")
     # m0 = 0 selects the massless trace or primed determinant elsewhere

@@ -313,6 +313,8 @@ def _start(model, m0, m1, lam_max, n, seed, threads, mode):
     returns the measured mode's eigenvalue and the run."""
     _check_mass("m0", m0)
     _check_mass("m1", m1, positive=False)
+    _check_mass("m0sq", m0 * m0)
+    _check_mass("m1sq", m1 * m1, positive=False)
     if n < 1:
         raise ValueError("n must be >= 1")
     if seed < 0:

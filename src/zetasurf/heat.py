@@ -62,19 +62,6 @@ images that matter at the switch point, so E at t does not depend on the
 other points of a batch, bit for bit: the elementwise contract of
 `log_quadrature`, which evaluates a whole pass of panels in one call.
 
-E table.  Because the mass factorizes, every quadrature needs only the
-massless E, and `log_quadrature` puts its nodes on one log-t lattice for
-every window whose ends lie on it (`sumtools`).  `_weyl_excess` therefore
-keeps one table of E at the quadrature nodes per surface, a (2, n) array of
-the exact float t over E, read with `searchsorted`; the t it lacks go through
-the branches above and are merged in at once.  The tail points t_hi join the
-first batch of their pass (`_solve`) and are stored with the nodes.  As E(t)
-depends on t alone, a warm table returns the values a cold one would
-compute, and each update is one assignment.  The table holds
-at most _EXCESS_CAP = 2^18 nodes over all surfaces (4 MB).  Once a batch's
-new nodes would exceed that, the other surfaces' tables are cleared, as the
-result memos are; a surface whose own table would exceed it is not stored.
-
 With y = m^2 t the massive remainder follows exactly,
 
     theta_E - a_{-1}/t - a_0 = (e^{-y} - 1 + y) a_{-1}/t + (e^{-y} - 1) chi/6
@@ -84,7 +71,9 @@ with e^{-y} - 1 taken from expm1.  It is the integrand of the Mellin F
 integral in `zeta`, e^{-y} (chi/6 + E) is the `heat_integral` integrand, and
 the trace itself is theta_E = e^{-y} (a_{-1}/t + chi/6 + E).  So a new mass
 costs only its factors e^{-y} and expm1(-y) and the panel sums, and `_solve`
-integrates the F, G and heat windows of several masses in one pass (`_rows`).
+integrates the F, G and heat windows of several masses in one pass (`_rows`),
+computing E once per node of the pass; the tail points t_hi join its first
+E batch.
 
 Closed form on [0, T].  Both integrals start their quadrature at T = e^k,
 the greatest such point at most the window's end and 0.05 R^2 (sphere) or
@@ -128,11 +117,6 @@ _EXP_CUT = 52.0  # e^-52 ~ 2.6e-23: relative truncation floor for trace sums
 # heat_integral and one of zeta_det together take about 2.2 KB.
 _MEMO_CAP = 4096
 _HEAT_MEMO: dict[tuple, HeatIntegral] = {}
-# E(t) per surface, a (2, n) array of sorted t over E; cleared once it would
-# hold more than _EXCESS_CAP nodes over all surfaces (16 bytes each: 4 MB)
-_EXCESS: dict[SurfaceModel, np.ndarray] = {}
-_EXCESS_CAP = 1 << 18
-_NO_EXCESS = np.empty((2, 0))
 
 
 def _remember(memo: dict, key: tuple, value) -> None:
@@ -253,9 +237,9 @@ def _small_t_excess(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
     return model.area / (_FOUR_PI * t) * (s1 + s2 + s1 * s2)
 
 
-def _excess_at(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
-    """E(t) from the branches, without the table: the series or the images
-    below the model's switch point, the direct sum above it."""
+def _weyl_excess(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
+    """E(t) = theta_Delta(t) - a_{-1}/t - chi/6, without cancellation: the
+    series or the images below the model's switch point, the direct sum above it."""
     below = t < _switch(model)
     if below.all():
         return _small_t_excess(model, t)
@@ -266,33 +250,6 @@ def _excess_at(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
     out[below] = _small_t_excess(model, t[below])
     above = t[~below]
     out[~below] = _theta_direct(model, above) - a_m1 / above - a_0
-    return out
-
-
-def _weyl_excess(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
-    """E(t) = theta_Delta(t) - a_{-1}/t - chi/6, without cancellation, read
-    from the surface's table; the t it lacks are computed and stored."""
-    table = _EXCESS.get(model, _NO_EXCESS)
-    at = np.searchsorted(table[0], t)
-    if table.shape[1]:
-        near = np.minimum(at, table.shape[1] - 1)
-        out, miss = table[1, near], table[0, near] != t
-        if not miss.any():
-            return out
-    else:
-        out, miss = np.empty_like(t), np.ones(t.size, dtype=bool)
-    out[miss] = excess = _excess_at(model, t[miss])
-    # one merge: the i-th new node, in order, goes to its insertion point plus i
-    fresh, first = np.unique(t[miss], return_index=True)
-    put = at[miss][first] + np.arange(fresh.size)
-    kept = np.ones(table.shape[1] + fresh.size, dtype=bool)
-    kept[put] = False
-    merged = np.empty((2, kept.size))
-    merged[:, kept], merged[0, put], merged[1, put] = table, fresh, excess[first]
-    if sum(tab.shape[1] for tab in _EXCESS.values()) + fresh.size > _EXCESS_CAP:
-        _EXCESS.clear()
-    if merged.shape[1] <= _EXCESS_CAP:
-        _EXCESS[model] = merged   # one assignment: readers see a matching pair
     return out
 
 
@@ -377,7 +334,7 @@ def _rows(model: SurfaceModel, rows, t: np.ndarray, excess: np.ndarray) -> np.nd
 
 
 def _theta(model: SurfaceModel, msq: float, t: np.ndarray, excess=None) -> np.ndarray:
-    """theta_E(t) = e^{-m^2 t} (a_{-1}/t + chi/6 + E(t)), E from the table unless given."""
+    """theta_E(t) = e^{-m^2 t} (a_{-1}/t + chi/6 + E(t)), E computed unless given."""
     excess = _weyl_excess(model, t) if excess is None else excess
     return np.exp(-msq * t) * (model.area / (_FOUR_PI * t) + model.euler_char / 6.0 + excess)
 

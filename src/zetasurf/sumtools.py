@@ -25,9 +25,9 @@ Log-t lattice.  The initial panels of a window [t_lo, t_hi] end at the
 integers of u = ln t strictly inside (ln t_lo, ln t_hi) and at the window's
 two ends, so no panel is wider than 1.  A panel [k, k + 1] has the same nodes,
 bit for bit, in every window that contains it, and so do its bisections.
-Windows that end on the lattice (`_lattice_ceil`) therefore evaluate an
-integrand at shared nodes, which is what lets `heat` keep one table of the
-massless trace per surface for every mass.
+Windows that end on the lattice (`_lattice_ceil`) therefore share panels,
+and a pass over several of them evaluates each shared panel once, for
+every window's row.
 """
 from __future__ import annotations
 

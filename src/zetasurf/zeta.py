@@ -90,7 +90,7 @@ def _zeta_job(key: tuple) -> tuple:
     # in F's integrand (theta~ - a_{-1}/t - a0~)/t
     t_lo = _closed_form_end(model, t_star)
     mu = msq + (first_positive_eigenvalue(model) if n0 else 0.0)
-    # on the log-t lattice, so that every mass reads the same table nodes
+    # on the log-t lattice, so that the windows of one pass share their panels
     t_hi = _lattice_ceil(max(_EXP_CUT / mu, 2.0 * t_star))
     windows = [(t_star, t_hi, 1e-12, ("g", msq, n0))]
     if t_lo < t_star:

@@ -73,6 +73,12 @@ def test_flag_validation_names_flag(capsys):
         (("verify-anomaly", "--m0", "0"), "--m0", "m0sq must be positive"),
         (("verify-mainlemma", "--m0", "0"), "--m0", "msq must be > 0"),
         (("gff-verify", "--m0", "0"), "--m0", "m0 must be positive"),
+        # a mass whose square overflows, before any spectrum is built
+        (("gff-verify", "--m0", "1e200"), "--m0", "square must be finite"),
+        (("gff-verify", "--m1", "1e200"), "--m1", "square must be finite"),
+        (("det2", "--m0", "1e200"), "--m0", "square must be finite"),
+        (("det2", "--m1", "1e200"), "--m1", "square must be finite"),
+        (("det-zeta", "--m0", "1e200"), "--m0", "square must be finite"),
     ]
     for argv, flag, message in cases:
         code, out, err = _run(capsys, *argv)
@@ -249,9 +255,7 @@ def test_verify_all_anomaly_rows_are_verify_anomaly_reports(capsys):
 
 
 def test_verify_all_twice_in_one_process_gives_one_report(capsys, monkeypatch):
-    # the first run starts from cold memos and a cold E(t) table; the second
-    # recomputes every result from the table the first one filled
-    monkeypatch.setattr(heat, "_EXCESS", {})
+    # each run starts from cold memos and recomputes every result
     outs = []
     for _ in range(2):
         monkeypatch.setattr(zeta, "_ZETA_MEMO", {})

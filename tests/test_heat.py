@@ -173,15 +173,12 @@ def test_sphere_f_integrand_converges_within_split_budget(radius, msq):
 
 
 @pytest.mark.parametrize("model", [SPHERE, make_surface("torus", L1=1.5, L2=0.7)])
-def test_weyl_excess_is_elementwise(model, monkeypatch):
+def test_weyl_excess_is_elementwise(model):
     # log_quadrature batches whole passes, so a value may not depend on the
-    # batch; both switch points lie in (0.04, 0.1).  Each call starts from a
-    # cold table, so every value is a branch evaluation of its own.
-    monkeypatch.setattr(heat, "_EXCESS", {})
+    # batch; both switch points lie in (0.04, 0.1)
     t = np.concatenate([np.geomspace(1e-5, 0.04, 41), np.geomspace(0.1, 40.0, 56)])
     batch = _weyl_excess(model, t)
     for i in range(t.size):
-        heat._EXCESS.clear()
         assert batch[i] == _weyl_excess(model, t[i:i + 1])[0]
 
 

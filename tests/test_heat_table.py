@@ -1,5 +1,6 @@
-"""The per-surface table of the massless excess E(t) that every Mellin and
-heat quadrature reads, and the log-t lattice that lets masses share it."""
+"""The one quadrature pass per verifier, over the massless excess E(t) that
+every Mellin and heat window integrates, and the log-t lattice on which the
+windows of a pass share their panels."""
 import math
 
 import numpy as np
@@ -19,71 +20,11 @@ def _clear_memos():
     heat._HEAT_MEMO.clear()
 
 
-def _outcome(model, call, msq):
-    """Every number a call reports, or its error message."""
-    try:
-        if call == "heat_integral":
-            res = heat_integral(model, msq)
-            return res.value, res.abs_error_bound, res.quadrature_profile
-        res = (zeta_det(model, 0.0, exclude_zero_mode=True) if call == "det_prime"
-               else zeta_det(model, msq))
-        return res.zeta0, res.zeta_prime0, res.err_bound
-    except ValueError as exc:
-        return str(exc)
-
-
 _SIDES = st.floats(0.5, 2.0)
 _SURFACES = st.lists(
     st.one_of(st.builds(lambda r: make_surface("sphere", R=r), _SIDES),
               st.builds(lambda a, b: make_surface("torus", L1=a, L2=b), _SIDES, _SIDES)),
     min_size=1, max_size=2)
-_CALLS = st.lists(st.tuples(st.integers(0, 1),
-                            st.sampled_from(["zeta_det", "heat_integral", "det_prime"]),
-                            st.floats(0.25, 4.0)),
-                  min_size=2, max_size=5)
-
-
-@settings(derandomize=True, max_examples=20, deadline=None)
-@given(_SURFACES, _CALLS)
-def test_warm_table_gives_the_cold_values_bit_for_bit(surfaces, calls):
-    calls = [(surfaces[i % len(surfaces)], call, msq) for i, call, msq in calls]
-    cold = []
-    for model, call, msq in calls:
-        _clear_memos()
-        heat._EXCESS.clear()
-        cold.append(_outcome(model, call, msq))
-    heat._EXCESS.clear()
-    for (model, call, msq), expected in zip(calls, cold):
-        _clear_memos()
-        assert _outcome(model, call, msq) == expected
-
-
-@pytest.mark.parametrize("model", [SPHERE, TORUS])
-def test_a_new_mass_on_a_warm_surface_computes_only_its_tail_point(model, monkeypatch):
-    monkeypatch.setattr(heat, "_EXCESS", {})
-    monkeypatch.setattr(zeta, "_ZETA_MEMO", {})
-    monkeypatch.setattr(heat, "_HEAT_MEMO", {})
-    computed = []
-    excess_at = heat._excess_at
-
-    def counted(m, t):
-        computed.extend(t.tolist())
-        return excess_at(m, t)
-
-    monkeypatch.setattr(heat, "_excess_at", counted)
-    zeta_det(model, 0.5)
-    heat_integral(model, 0.5)
-    nodes = heat._EXCESS[model].shape[1]
-    for msq in (1.0, 4.0):
-        computed.clear()
-        zeta_det(model, msq)
-        heat_integral(model, msq)
-        # G's and heat's windows and tail points end at e^ceil(ln(52/m^2)): the
-        # first call computes the tail point with its first pass and stores it,
-        # and the second reads it
-        assert computed == [math.exp(math.ceil(math.log(52.0 / msq)))]
-        nodes += 1
-        assert heat._EXCESS[model].shape[1] == nodes
 
 
 def test_default_windows_end_on_the_lattice(monkeypatch):
@@ -110,34 +51,15 @@ def test_default_windows_end_on_the_lattice(monkeypatch):
         assert all((e * 2.0 ** quad.splits).is_integer() for e in edges)
 
 
-def test_table_stays_under_its_cap_and_clearing_keeps_every_value(monkeypatch):
-    monkeypatch.setattr(heat, "_EXCESS", {})
-    monkeypatch.setattr(heat, "_EXCESS_CAP", 60)
-    t = np.geomspace(1e-3, 10.0, 40)
-    mixed = np.concatenate([t, np.geomspace(2e-3, 5.0, 10)])
-    big = np.geomspace(1e-4, 20.0, 61)
-    cold = [heat._weyl_excess(SPHERE, x) for x in (mixed, big)]
-    heat._EXCESS.clear()
-    heat._weyl_excess(SPHERE, t)
-    heat._weyl_excess(TORUS, t[:15])
-    # 40 hits and 10 new nodes: 65 > 60, so the torus table goes
-    assert heat._weyl_excess(SPHERE, mixed).tolist() == cold[0].tolist()
-    assert list(heat._EXCESS) == [SPHERE] and heat._EXCESS[SPHERE][0].size == 50
-    # a table that would exceed the cap by itself is not stored
-    assert heat._weyl_excess(SPHERE, big).tolist() == cold[1].tolist()
-    assert heat._EXCESS == {}
-
-
 @pytest.mark.parametrize("model", [SPHERE, TORUS])
 def test_one_pass_per_cold_verifier_and_none_when_repeated(model, monkeypatch):
-    monkeypatch.setattr(heat, "_EXCESS", {})
     monkeypatch.setattr(zeta, "_ZETA_MEMO", {})
     monkeypatch.setattr(heat, "_HEAT_MEMO", {})
     passes, evaluated = [], []   # windows per log_quadrature call, points per E batch
-    quadrature, excess_at = heat.log_quadrature, heat._excess_at
+    quadrature, excess_at = heat.log_quadrature, heat._weyl_excess
     monkeypatch.setattr(heat, "log_quadrature",
                         lambda fn, t_lo, *args: passes.append(len(t_lo)) or quadrature(fn, t_lo, *args))
-    monkeypatch.setattr(heat, "_excess_at",
+    monkeypatch.setattr(heat, "_weyl_excess",
                         lambda m, t: evaluated.append(t.size) or excess_at(m, t))
     verify_anomaly(model, 0.7, 1.3)
     # F and G at m0^2 + m1^2 and at m0^2, and heat at m0^2, in one pass
@@ -176,11 +98,9 @@ def test_batched_passes_give_the_per_call_values_bit_for_bit(surfaces, calls, ru
             for quantity in (lambda: zeta_det(model, m0sq + m1sq), lambda: zeta_det(model, m0sq),
                              lambda: heat_integral(model, m0sq)):
                 _clear_memos()
-                heat._EXCESS.clear()
                 row.append(quantity())
             alone.append(row)
         _clear_memos()
-        heat._EXCESS.clear()
         for (model, m0sq, m1sq), row in zip(calls, alone):
             verify_anomaly(model, m0sq, m1sq)
             assert [zeta_det(model, m0sq + m1sq), zeta_det(model, m0sq),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from zetasurf import (cf_mean, det2, dirichlet_trace, gamma0, heat_coeffs, heat_integral,
+from zetasurf import (cf_mean, det2, dirichlet_trace, gamma0, gff, heat_coeffs, heat_integral,
                       heat_trace, laurent_fit, make_surface, mass_shift_prefactor,
                       measure_estimates, torus_cf_image_sum, verify_anomaly, zeta_det)
 from zetasurf.sumtools import log_quadrature
@@ -39,6 +39,15 @@ NAN, INF = math.nan, math.inf
 def test_non_finite_mass_is_rejected_by_name(fn, args, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         fn(*args)
+
+
+@pytest.mark.parametrize("m0, m1, name", [(1e200, 1.0, "m0sq"), (1.0, 1e200, "m1sq")])
+def test_overflowing_mass_square_is_refused_before_the_spectrum(m0, m1, name, monkeypatch):
+    # the squares overflow to inf: refused by name, with no RuntimeWarning
+    # (an error in tier-1) and no spectrum built
+    monkeypatch.setattr(gff, "_checked_spectrum", lambda *args: pytest.fail("spectrum built"))
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        measure_estimates(SPHERE, m0, m1, 42.0, 100, 1)
 
 
 @pytest.mark.parametrize("call, name", [
