@@ -12,8 +12,9 @@ Mellin quadrature, eigenvalue products, and the heat integral.
 
 Massless checks: det_zeta(m0^2 + Delta)/m0^2 -> det'_zeta(Delta) as m0 -> 0;
 the prefactor algebra (m/m0)^{sigma A/4 pi} exp(sigma gamma0(m0) A/2)
-= (m e^gamma_E / 4)^{sigma A/4 pi}, exact in the logs; and continuity of the
-determinant in the mass with slope given by the Dirichlet-trace finite part.
+= (m e^gamma_E / 4)^{sigma A/4 pi}, exact in the logs and checked there to
+their rounding; and continuity of the determinant in the mass with slope
+given by the Dirichlet-trace finite part.
 The /2 exponent assembly is the one consistent with the prefactor identity;
 the report carries a note quantifying the alternative exp(sigma gamma0 A)
 assembly so the discrepancy between the two stays visible.
@@ -26,10 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .green import det2, gamma0
-from .heat import _check_mass, _exp, heat_integral
-from .sumtools import neville_zero
+from .heat import _check_mass, _exp, _heat_job, _remembered, heat_integral
+from .sumtools import _EPS, neville_zero
 from .surfaces import SurfaceModel
-from .zeta import _prefetch, laurent_fit, zeta_det
+from .zeta import _zeta_job, laurent_fit, zeta_det
 
 __all__ = [
     "AnomalyReport",
@@ -41,6 +42,7 @@ __all__ = [
 
 _EULER = float(np.euler_gamma)
 _FOUR_PI = 4.0 * math.pi
+_M0_SEQUENCE = (0.2, 0.1, 0.05)   # verify_massless' decreasing masses m0
 
 
 @dataclass(frozen=True)
@@ -71,10 +73,10 @@ class AnomalyReport:
 def verify_anomaly(model: SurfaceModel, m0sq: float, m1sq: float,
                    tol: float = 1e-6) -> AnomalyReport:
     """Check the determinant mass-shift identity at (m0^2, m1^2); the
-    determinants and heat integral that the memos lack take one pass."""
+    determinants and heat integral that the memo lacks take one pass."""
     _check_mass("m0sq", m0sq)
     _check_mass("m1sq", m1sq, positive=False)
-    _prefetch(model, [(m0sq + m1sq, 0), (m0sq, 0)], [m0sq])
+    _remembered(model, [(_zeta_job, m0sq + m1sq), (_zeta_job, m0sq), (_heat_job, m0sq)])
     z_shift = zeta_det(model, m0sq + m1sq)
     z_base = zeta_det(model, m0sq)
     d2 = det2(model, m0sq, m1sq)
@@ -135,22 +137,17 @@ class MasslessReport:
         }
 
 
-def verify_massless(model: SurfaceModel, sigma: float,
-                    m0_sequence=(0.2, 0.1, 0.05), tol: float = 1e-4) -> MasslessReport:
-    """Three separately falsifiable massless checks (see module docstring)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    seq = [float(m) for m in m0_sequence]
-    if len(seq) < 2 or any(m <= 0 for m in seq) or any(
-            a <= b for a, b in zip(seq, seq[1:])):
-        raise ValueError("m0_sequence must be a decreasing sequence of positive masses")
+def verify_massless(model: SurfaceModel, sigma: float, tol: float = 1e-4) -> MasslessReport:
+    """Three separately falsifiable massless checks (module docstring), at _M0_SEQUENCE."""
+    _check_mass("sigma", sigma)
+    seq = list(_M0_SEQUENCE)
 
     # (i) det_zeta(m0^2 + Delta)/m0^2 -> det'_zeta(Delta), Richardson in m0^2
     hs = [m * m for m in seq]
-    _prefetch(model, [(h, 0) for h in hs] + [(0.0, 1), (sigma, 0)] + [(sigma + h, 0) for h in hs])
+    _remembered(model, [(_zeta_job, msq) for msq in (*hs, 0.0, sigma, *(sigma + h for h in hs))])
     ratios = [zeta_det(model, h).det_zeta / h for h in hs]
     extrap, extrap_err = neville_zero(hs, ratios)
-    detprime = zeta_det(model, 0.0, exclude_zero_mode=True).det_zeta
+    detprime = zeta_det(model, 0.0).det_zeta
     limit_check = {
         "m0_sequence": seq,
         "ratios": ratios,
@@ -161,23 +158,21 @@ def verify_massless(model: SurfaceModel, sigma: float,
         "pass": bool(abs(extrap - detprime) <= max(tol, 4.0 * extrap_err)),
     }
 
-    # (ii) exact prefactor algebra at m = sqrt(sigma):
-    # (m/m0)^{sigma A/4 pi} exp(sigma gamma0(m0) A/2) = (m e^gamma / 4)^{sigma A/4 pi}
+    # (ii) exact prefactor algebra at m = sqrt(sigma), in logs and to their rounding (8 ulps
+    # of each term and of expo per log): (m/m0)^expo exp(sigma gamma0(m0) A/2) = (m e^gamma/4)^expo
     m = math.sqrt(sigma)
     expo = sigma * model.area / _FOUR_PI
-    worst = 0.0
+    worst = rounding = 0.0
     for m0 in seq:
-        lhs = (m / m0) ** expo * mass_shift_prefactor(model, m0, sigma)
-        rhs = (0.25 * m * math.exp(_EULER)) ** expo
-        worst = max(worst, abs(lhs / rhs - 1.0))
-    prefactor_check = {"m": m, "max_rel_diff": worst, "pass": bool(worst <= 1e-12)}
+        terms = (expo * math.log(m / m0), 0.5 * sigma * gamma0(m0) * model.area,
+                 -expo * math.log(0.25 * m), -expo * _EULER)
+        worst = max(worst, abs(math.expm1(math.fsum(terms))))
+        rounding = max(rounding, 8.0 * _EPS * (math.fsum(map(abs, terms)) + 3.0 * expo))
+    prefactor_check = {"m": m, "max_rel_diff": worst, "pass": bool(worst <= rounding)}
 
     # (iii) d/dm^2 ln det_zeta at m^2 = sigma equals the trace finite part
-    base = zeta_det(model, sigma)
-    slopes = [
-        (math.log(zeta_det(model, sigma + h).det_zeta) - math.log(base.det_zeta)) / h
-        for h in hs
-    ]
+    base = zeta_det(model, sigma).zeta_prime0
+    slopes = [(base - zeta_det(model, sigma + h).zeta_prime0) / h for h in hs]
     slope, slope_err = neville_zero(hs, slopes)
     fit = laurent_fit(model, sigma)
     rel = abs(slope / fit.finite_part - 1.0)
@@ -190,13 +185,14 @@ def verify_massless(model: SurfaceModel, sigma: float,
         "pass": bool(rel <= 1e-2),
     }
 
+    # the ratio exp(sigma gamma0 A)/used is used itself, which may underflow to 0
     alt = math.exp(sigma * gamma0(seq[0]) * model.area)
     used = mass_shift_prefactor(model, seq[0], sigma)
     note = (
         "prefactor assembly uses exp(sigma*gamma0*A/2) = {:.17g} at m0 = {:g}; "
         "the exp(sigma*gamma0*A) variant would give {:.17g} (ratio {:.17g}) and is "
         "inconsistent with the exact prefactor identity of check (ii)"
-    ).format(used, seq[0], alt, alt / used)
+    ).format(used, seq[0], alt, used)
 
     passed = bool(limit_check["pass"] and prefactor_check["pass"] and continuity_check["pass"])
     return MasslessReport(

@@ -31,7 +31,7 @@ from . import __version__
 from .anomaly import verify_anomaly, verify_massless
 from .gff import _prefetch, measure_estimates
 from .green import cf_mean, det2, torus_cf_image_sum
-from .heat import heat_coeffs, heat_integral, heat_trace
+from .heat import _window_end, heat_coeffs, heat_integral, heat_trace
 from .sumtools import _EPS
 from .surfaces import parse_surface
 from .zeta import laurent_fit, zeta_det
@@ -46,6 +46,9 @@ COMMANDS = ("heat-trace", "det-zeta", "det2", "cf", "verify-anomaly",
 _NEEDS_MASS = {"det2": "m0sq must be positive", "cf": "m0sq must be positive",
                "verify-anomaly": "m0sq must be positive", "verify-mainlemma": "msq must be > 0",
                "gff-verify": "m0 must be positive"}
+# commands whose heat or G window ends at e^k >= 52/m^2, with the flag that sets m^2
+_WINDOWED = {"det-zeta": "m0", "cf": "m0", "verify-anomaly": "m0", "verify-mainlemma": "m0",
+             "verify-massless": "sigma"}
 
 
 class _UsageError(Exception):
@@ -140,8 +143,7 @@ def _cmd_heat_trace(args) -> tuple[list, bool]:
 def _cmd_det_zeta(args) -> tuple[list, bool]:
     model = parse_surface(args.surface)
     msq = args.m0 * args.m0
-    res = zeta_det(model, msq, exclude_zero_mode=(msq == 0.0),
-                   tol=min(args.tol, 1e-4))
+    res = zeta_det(model, msq, tol=min(args.tol, 1e-4))
     rec = {"check": "det-zeta", "surface": model.label(), "msq": msq,
            "zeta0": res.zeta0, "zeta_prime0": res.zeta_prime0,
            "det_zeta": res.det_zeta, "err_bound": res.err_bound,
@@ -150,18 +152,19 @@ def _cmd_det_zeta(args) -> tuple[list, bool]:
 
 
 @contextlib.contextmanager
-def _names_lambda_max():
-    """Name the flag: with the masses validated, every ValueError left is a
-    refusal of the spectrum (too few lines, or over the size budget)."""
+def _names(flag: str):
+    """Name the flag in each ValueError: with the masses validated, every one
+    left in det2 and gff-verify refuses the spectrum (too few lines, or over
+    the size budget), so it names --lambda-max."""
     try:
         yield
     except ValueError as exc:
-        raise ValueError(f"--lambda-max: {exc}") from None
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _cmd_det2(args) -> tuple[list, bool]:
     model = parse_surface(args.surface)
-    with _names_lambda_max():
+    with _names("--lambda-max"):
         res = det2(model, args.m0 * args.m0, args.m1 * args.m1, lam_max=args.lambda_max)
     rec = {"check": "det2", "surface": model.label(),
            "m0sq": args.m0 * args.m0, "m1sq": args.m1 * args.m1,
@@ -250,7 +253,7 @@ def _gff_record(model, m0, m1, lam_max, n, seed, threads) -> dict:
 
 def _cmd_gff_verify(args) -> tuple[list, bool]:
     model = parse_surface(args.surface)
-    with _names_lambda_max():
+    with _names("--lambda-max"):
         rec = _gff_record(model, args.m0, args.m1, args.lambda_max, args.samples,
                           args.seed, args.threads)
     return [rec], rec["pass"]
@@ -377,6 +380,11 @@ def _validate_config(args) -> None:
     # m0 = 0 selects the massless trace or primed determinant elsewhere
     if args.command in _NEEDS_MASS and not args.m0 * args.m0 > 0:
         raise ValueError(f"--m0: {_NEEDS_MASS[args.command]}")
+    flag = _WINDOWED.get(args.command)
+    msq = args.sigma if flag == "sigma" else args.m0 * args.m0
+    if flag and msq > 0:   # a tiny mass puts the window end past the float range
+        with _names(f"--{flag}"):
+            _window_end(msq)
     if args.command == "heat-trace" and args.t:
         if not all(t > 0 and math.isfinite(t) for t in args.t):
             raise ValueError("--t: t must be positive and finite")

@@ -90,11 +90,15 @@ the image terms, each below e^-40, so the d_j terms give way to the bound
 int_0^T E dt/t <= 2.1 a_{-1} sum_i e^{-c_i/T}/c_i, c_i = L_i^2/4.  Each piece adds 64 ulps of
 its summed |terms|.  The default windows end at e^k for the least integer k
 with e^k >= 52/m^2 here (and likewise in `zeta`), where the tail bounds are
-taken.
+taken; a mass whose e^k leaves the float range (m^2 <= 5.2e-306) is refused
+by name before any quadrature.
 
-`heat_integral` remembers its results per (model, m^2, abs_tol, t_lo, t_hi),
-as `zeta_det` does per (model, m^2, n0, t_star); both memos are cleared once
-they hold _MEMO_CAP entries.  A remembered result is shared, not copied.
+The window ends and the split point are derived from (surface, m^2), so
+`heat_integral` and `zeta_det` remember their results in one memo keyed by
+(job, model, m^2), cleared once it holds _MEMO_CAP entries.  `_remembered`
+fills it, solving every missing entry of a verifier in one `_solve` pass; a
+remembered result is shared, not copied.  `_solve` itself never writes it,
+so a job at another window (a private argument) leaves it as it is.
 """
 from __future__ import annotations
 
@@ -106,24 +110,18 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import exp1 as _exp1, gamma as _gamma, gammainc as _gammainc, zeta as _zeta
 
-from .sumtools import _EPS, QuadratureResult, _lattice_ceil, log_quadrature
+from .sumtools import _EPS, QuadratureResult, log_quadrature
 from .surfaces import _FOUR_PI_SQ, SurfaceModel, eigen_arrays
 
 __all__ = ["HeatCoeffs", "HeatIntegral", "heat_coeffs", "heat_trace", "heat_integral"]
 
 _FOUR_PI = 4.0 * math.pi
 _EXP_CUT = 52.0  # e^-52 ~ 2.6e-23: relative truncation floor for trace sums
-# Entries one result memo may hold before it is cleared; an entry of
+_HEAT_TOL = 1e-8   # heat_integral raises where its bound exceeds this
+# Entries the result memo may hold before it is cleared; an entry of
 # heat_integral and one of zeta_det together take about 2.2 KB.
 _MEMO_CAP = 4096
-_HEAT_MEMO: dict[tuple, HeatIntegral] = {}
-
-
-def _remember(memo: dict, key: tuple, value) -> None:
-    """memo[key] = value, clearing the memo first once it holds _MEMO_CAP."""
-    if len(memo) >= _MEMO_CAP:
-        memo.clear()
-    memo[key] = value
+_MEMO: dict[tuple, object] = {}   # (job, model, m^2) -> its result
 
 
 @dataclass(frozen=True)
@@ -266,14 +264,11 @@ def _series_bound(model: SurfaceModel, t_hi: float) -> float:
     return _SERIES_REM * x_hi ** power / power
 
 
-def _closed_form_top(model: SurfaceModel) -> float:
-    """Where the closed form of [0, t] ends (module docstring)."""
-    return _switch(model) / (1.0 if model.kind == "sphere" else 16.0)
-
-
 def _closed_form_end(model: SurfaceModel, t_end: float) -> float:
-    """T = e^k, the greatest at most t_end and _closed_form_top (module docstring)."""
-    top = min(t_end, _closed_form_top(model))
+    """T = e^k, the greatest at most t_end and at most where the closed form
+    of [0, t] ends: the switch point, a sixteenth of it on the torus (module
+    docstring)."""
+    top = min(t_end, _switch(model) / (1.0 if model.kind == "sphere" else 16.0))
     k = math.floor(math.log(top))
     return math.exp(k) if math.exp(k) <= top else math.exp(k - 1)
 
@@ -343,7 +338,7 @@ def _solve(model: SurfaceModel, jobs: list) -> list:
     """The entries of jobs (windows, tail point, finish) from one `log_quadrature`
     call over all their windows (t_lo, t_hi, abs_tol, row of `_rows`).  E at
     the tail points joins its first batch; each finish(its windows'
-    quadratures, E at its tail point) computes and remembers its entry."""
+    quadratures, E at its tail point) computes its entry."""
     windows = [w for ws, _, _ in jobs for w in ws]
     tails = np.array(sorted({tail for _, tail, _ in jobs}))
     at_tails = {}
@@ -372,6 +367,32 @@ def heat_trace(model: SurfaceModel, msq: float, t):
     return float(vals[0]) if np.ndim(t) == 0 else vals
 
 
+def _remembered(model: SurfaceModel, wanted) -> list:
+    """The results of wanted, (job, m^2) pairs, from the memo; those it lacks
+    from one `_solve` pass over their job(model, m^2), then remembered."""
+    results = [_MEMO.get((job, model, msq)) for job, msq in wanted]
+    missing = list(dict.fromkeys(w for w, result in zip(wanted, results) if result is None))
+    if missing:
+        solved = dict(zip(missing, _solve(model, [job(model, msq) for job, msq in missing])))
+        for (job, msq), result in solved.items():
+            if len(_MEMO) >= _MEMO_CAP:
+                _MEMO.clear()
+            _MEMO[job, model, msq] = result
+        results = [solved.get(w, result) for w, result in zip(wanted, results)]
+    return results
+
+
+def _window_end(mu: float, t_min: float = 0.0) -> float:
+    """e^k for the least integer k with e^k >= t = max(52/mu, t_min), on the
+    log-t lattice of `sumtools`: where a default window ends and its tail
+    bound is taken.  A ValueError naming msq where e^k may overflow."""
+    t = max(_EXP_CUT / mu, t_min)
+    if not t < 1e307:
+        raise ValueError(f"msq = {mu!r} is too small: the quadrature window "
+                         f"end e^k >= 52/msq is past the float range")
+    return math.exp(math.ceil(math.log(t)))
+
+
 # ------------------------------------------------------------ heat integral
 
 @dataclass(frozen=True)
@@ -381,46 +402,31 @@ class HeatIntegral:
     quadrature_profile: dict
 
 
-def heat_integral(model: SurfaceModel, msq: float, abs_tol: float = 1e-8,
-                  t_lo: float | None = None, t_hi: float | None = None) -> HeatIntegral:
-    """Finite part of the resolvent trace at s = 0 (see module docstring).
-
-    t_lo/t_hi override the quadrature window, by default [T, e^k] (module
-    docstring); [0, t_lo] is taken in closed form, so t_lo may not pass
-    _closed_form_top.  The certified bound covers the analytic remainders
-    outside the window, so the value is window-independent within it.
-    """
-    _check_mass("msq", msq, positive=False)
-    if msq == 0.0:
-        raise ValueError(
-            "heat_integral requires msq > 0; the massless pathway lives in "
-            "anomaly.verify_massless (primed determinant with the zero mode removed)")
-    if not (0.0 < abs_tol <= 1e-4):
-        raise ValueError("abs_tol must lie in (0, 1e-4]")
-    if t_hi is None:
-        t_hi = _lattice_ceil(_EXP_CUT / msq)
-    if t_lo is None:
-        t_lo = _closed_form_end(model, t_hi)
-    if not (0.0 < t_lo <= t_hi < math.inf):
-        raise ValueError(f"heat_integral needs 0 < t_lo <= t_hi < inf, "
-                         f"got t_lo={t_lo!r}, t_hi={t_hi!r}")
-    if t_lo > _closed_form_top(model):
-        raise ValueError(f"t_lo={t_lo!r} is past {_closed_form_top(model):.6g}, where "
-                         f"the closed form of [0, t_lo] ends on {model.label()}")
-    key = (model, msq, abs_tol, t_lo, t_hi)
-    result = _HEAT_MEMO.get(key)
+def heat_integral(model: SurfaceModel, msq: float) -> HeatIntegral:
+    """Finite part of the resolvent trace at s = 0 (module docstring), from
+    the window [T, e^k] and [0, T] in closed form; the certified bound covers
+    the remainders outside the window, so the value is window-independent
+    within it.  Raises where the bound exceeds _HEAT_TOL."""
+    result = _MEMO.get((_heat_job, model, msq))
     if result is None:
-        result = _solve(model, [_heat_job(key)])[0]
-    if not (result.abs_error_bound <= abs_tol):
+        result, = _remembered(model, [(_heat_job, msq)])
+    if not (result.abs_error_bound <= _HEAT_TOL):
         raise ValueError(f"heat_integral bound {result.abs_error_bound:.3e} "
-                         f"exceeds abs_tol {abs_tol:.3e}")
+                         f"exceeds {_HEAT_TOL:.3e}")
     return result
 
 
-def _heat_job(key: tuple) -> tuple:
-    """The `_solve` job of the heat_integral entry of key = (model, m^2, abs_tol,
-    t_lo, t_hi)."""
-    model, msq, abs_tol, t_lo, t_hi = key
+def _heat_job(model: SurfaceModel, msq: float, t_lo: float | None = None,
+              t_hi: float | None = None) -> tuple:
+    """The `_solve` job of heat_integral at m^2, on the window [t_lo, t_hi]
+    (by default [T, e^k]); [0, t_lo] is taken in closed form, so t_lo may not
+    pass where that ends (`_closed_form_end`)."""
+    _check_mass("msq", msq, positive=False)
+    if msq == 0.0:
+        raise ValueError("heat_integral requires msq > 0; the massless pathway lives in "
+                         "anomaly.verify_massless (det' with the zero mode removed)")
+    t_hi = _window_end(msq) if t_hi is None else t_hi
+    t_lo = _closed_form_end(model, t_hi) if t_lo is None else t_lo
     a_m1 = model.area / _FOUR_PI
 
     def finish(quads, excess_hi: float) -> HeatIntegral:
@@ -448,10 +454,7 @@ def _heat_job(key: tuple) -> tuple:
         profile.update({"t_lo": t_lo, "t_hi": t_hi, "small_t_correction": closed,
                         "small_t_bound": closed_bound, "tail_bound": tail_bound,
                         "series_bound": series_bound, "assembly_bound": assembly})
-        result = HeatIntegral(value=value, abs_error_bound=bound, quadrature_profile=profile)
-        _remember(_HEAT_MEMO, key, result)
-        return result
+        return HeatIntegral(value=value, abs_error_bound=bound, quadrature_profile=profile)
 
-    windows = ([(t_lo, t_hi, min(abs_tol * 1e-2, 1e-11), ("heat", msq, 0))]
-               if t_lo < t_hi else [])
+    windows = [(t_lo, t_hi, 1e-11, ("heat", msq, 0))] if t_lo < t_hi else []
     return windows, t_hi, finish

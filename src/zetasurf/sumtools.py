@@ -6,7 +6,8 @@ summation so that 1e-8-level tolerances are not eaten by rounding drift in
 long sums.  The quadrature engine integrates smooth integrands on (0, inf)
 after the substitution u = ln t, with a per-panel Gauss-Legendre doubling
 test that yields an explicit error bound: each panel's value is its 18-node
-sum and its error the distance to its 12-node sum (_N_HI, _N_LO).
+sum and its error the distance to its 12-node sum (_N_HI, _N_LO), and a
+window makes at most _MAX_SPLITS = 60 bisections; rules and budget are fixed.
 
 Integrand contract.  `log_quadrature` hands its integrand every node of a
 pass at once: the initial partition in one call, then both children of each
@@ -25,7 +26,7 @@ Log-t lattice.  The initial panels of a window [t_lo, t_hi] end at the
 integers of u = ln t strictly inside (ln t_lo, ln t_hi) and at the window's
 two ends, so no panel is wider than 1.  A panel [k, k + 1] has the same nodes,
 bit for bit, in every window that contains it, and so do its bisections.
-Windows that end on the lattice (`_lattice_ceil`) therefore share panels,
+Windows that end on the lattice (`heat._window_end`) therefore share panels,
 and a pass over several of them evaluates each shared panel once, for
 every window's row.
 """
@@ -75,13 +76,12 @@ class QuadratureResult:
     err_bound: float
     panels: list = field(default_factory=list)  # (u_lo, u_hi, panel_err)
     splits: int = 0                              # bisections made
-    max_splits: int = 0                          # the split budget
 
     def profile(self) -> dict:
         return {
             "n_panels": len(self.panels),
             "splits": self.splits,
-            "max_splits": self.max_splits,
+            "max_splits": _MAX_SPLITS,
             "panel_edges": [p[0] for p in self.panels] + [self.panels[-1][1]] if self.panels else [],
             "panel_errors": [p[2] for p in self.panels],
             "err_bound": self.err_bound,
@@ -91,6 +91,7 @@ class QuadratureResult:
 # Gauss-Legendre nodes per panel: the value is the _N_HI rule, its error
 # estimate the difference from the _N_LO rule
 _N_LO, _N_HI = 12, 18
+_MAX_SPLITS = 60   # bisections a window may make
 
 
 def _panel_pass(fn, rows: int, u_lo: np.ndarray, u_hi: np.ndarray):
@@ -109,7 +110,7 @@ def _panel_pass(fn, rows: int, u_lo: np.ndarray, u_hi: np.ndarray):
     return v_hi.T.tolist(), np.abs(v_hi - v_lo).T.tolist()
 
 
-def log_quadrature(fn, t_lo, t_hi, abs_tol=1e-12, max_splits: int = 60):
+def log_quadrature(fn, t_lo, t_hi, abs_tol=1e-12):
     """Integrate fn(t) dt over [t_lo, t_hi] on a log axis with a certified bound.
 
     fn takes a 1-D array of t and returns the integrand at each, elementwise;
@@ -118,7 +119,7 @@ def log_quadrature(fn, t_lo, t_hi, abs_tol=1e-12, max_splits: int = 60):
     docstring).  A window takes 1 + splits calls, and must be finite:
     0 < t_lo < t_hi < inf.  Its panels, first cut at the integers of ln t, are
     bisected worst first until the summed doubling discrepancy drops below
-    its abs_tol or the split budget is spent; the achieved bound is reported,
+    its abs_tol or _MAX_SPLITS are spent; the achieved bound is reported,
     plus a rounding floor of 4 ulps of the summed |panel values| that the
     split test does not see.
     """
@@ -145,7 +146,7 @@ def log_quadrature(fn, t_lo, t_hi, abs_tol=1e-12, max_splits: int = 60):
     splits = [0] * len(los)
     while worst := {i: max(range(len(keys)), key=lambda j: done[keys[j]][1][i])
                     for i, keys in enumerate(windows)
-                    if splits[i] < max_splits and sum(done[k][1][i] for k in keys) > tols[i]}:
+                    if splits[i] < _MAX_SPLITS and sum(done[k][1][i] for k in keys) > tols[i]}:
         for i, j in worst.items():
             a, b = windows[i][j]
             windows[i][j:j + 1] = [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
@@ -157,16 +158,8 @@ def log_quadrature(fn, t_lo, t_hi, abs_tol=1e-12, max_splits: int = 60):
         vals, errs = [done[k][0][i] for k in keys], [done[k][1][i] for k in keys]
         floor = 4.0 * _EPS * math.fsum(map(abs, vals))   # not seen by the split test
         results.append(QuadratureResult(math.fsum(vals), math.fsum(errs) + floor,
-                                        [(*k, e) for k, e in zip(keys, errs)], splits[i], max_splits))
+                                        [(*k, e) for k, e in zip(keys, errs)], splits[i]))
     return results[0] if np.ndim(t_lo) == 0 else results
-
-
-def _lattice_ceil(t: float) -> float:
-    """e^k for the least integer k with e^k >= t > 0: a window end on the
-    log-t lattice (module docstring); inf where e^k would overflow."""
-    if not t < 1e307:
-        return math.inf
-    return math.exp(math.ceil(math.log(t)))
 
 
 def neville_zero(hs, vals) -> tuple[float, float]:

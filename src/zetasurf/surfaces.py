@@ -74,7 +74,7 @@ def make_surface(kind: str, **params) -> SurfaceModel:
     """Build a surface record, validating strict positivity of parameters."""
     kind = kind.lower()
     if kind == "sphere":
-        radius = params.pop("radius", params.pop("R", None))
+        radius = params.pop("R", None)
         if params:
             raise ValueError(f"unexpected sphere parameters: {sorted(params)}")
         if radius is None:
@@ -84,9 +84,8 @@ def make_surface(kind: str, **params) -> SurfaceModel:
             raise ValueError("R (radius) must be positive")
         return SurfaceModel(kind="sphere", radius=radius,
                             area=4.0 * math.pi * radius * radius, euler_char=2)
-    if kind in ("torus", "recttorus", "rect_torus"):
-        l1 = params.pop("l1", params.pop("L1", None))
-        l2 = params.pop("l2", params.pop("L2", None))
+    if kind == "torus":
+        l1, l2 = params.pop("L1", None), params.pop("L2", None)
         if params:
             raise ValueError(f"unexpected torus parameters: {sorted(params)}")
         if l1 is None or l2 is None:

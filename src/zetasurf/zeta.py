@@ -1,8 +1,8 @@
 """Spectral zeta function zeta_E(s) = sum mult (lambda + m^2)^{-s} by Mellin
 continuation, zeta-determinants, and the direct Dirichlet traces tr C^{s+1}.
 
-Determinant route.  With theta~ = theta - n0 (n0 zero modes removed) and the
-split point t*,
+Determinant route.  With theta~ = theta - n0 (n0 zero modes removed: the
+one constant mode at m^2 = 0, none otherwise) and the split point t* = 1,
 
     Gamma(s) zeta(s) = F(s) + G(s) + a_{-1} t*^{s-1}/(s-1) + a0~ t*^s / s,
     F(s) = int_0^t* t^{s-1} (theta~ - a_{-1}/t - a0~) dt,
@@ -37,9 +37,9 @@ import numpy as np
 from scipy.special import beta as _beta_fn, betainc as _betainc, gammaln as _gammaln
 
 from . import heat
-from .heat import (_EXP_CUT, _check_mass, _closed_form_end, _exp, _heat_job, _remember,
-                   _series_bound, _small_t_pieces, _solve, _switch, _theta, heat_coeffs)
-from .sumtools import _EPS, QuadratureResult, _lattice_ceil, stable_sum
+from .heat import (_check_mass, _closed_form_end, _exp, _remembered, _series_bound,
+                   _small_t_pieces, _switch, _theta, _window_end, heat_coeffs)
+from .sumtools import _EPS, QuadratureResult, stable_sum
 from .surfaces import SurfaceModel, first_positive_eigenvalue
 
 __all__ = [
@@ -52,8 +52,6 @@ __all__ = [
 ]
 
 _EULER = float(np.euler_gamma)
-# the ZetaResult per (model, msq, n0, t_star), shared; capped like heat's memo
-_ZETA_MEMO: dict[tuple, ZetaResult] = {}
 
 
 @dataclass(frozen=True)
@@ -80,10 +78,11 @@ class LaurentFit:
 
 # --------------------------------------------------------------- Mellin side
 
-def _zeta_job(key: tuple) -> tuple:
-    """The `_solve` job of the zeta_det result of key = (model, m^2, n0, t*):
-    F(0) and G(0) of the split formula, assembled."""
-    model, msq, n0, t_star = key
+def _zeta_job(model: SurfaceModel, msq: float, t_star: float = 1.0) -> tuple:
+    """The `_solve` job of zeta_det at m^2: F(0) and G(0) of the split formula
+    at t*, assembled, with the zero mode removed at m^2 = 0."""
+    _check_mass("msq", msq, positive=False)
+    n0 = 1 if msq == 0.0 else 0
     coeffs = heat_coeffs(model, msq)
     a_m1, a0t = coeffs.a_minus1, coeffs.a_0 - n0
     # [0, T] in closed form, [T, t*] by quadrature; the zero-mode shift cancels
@@ -91,7 +90,7 @@ def _zeta_job(key: tuple) -> tuple:
     t_lo = _closed_form_end(model, t_star)
     mu = msq + (first_positive_eigenvalue(model) if n0 else 0.0)
     # on the log-t lattice, so that the windows of one pass share their panels
-    t_hi = _lattice_ceil(max(_EXP_CUT / mu, 2.0 * t_star))
+    t_hi = _window_end(mu, 2.0 * t_star)
     windows = [(t_star, t_hi, 1e-12, ("g", msq, n0))]
     if t_lo < t_star:
         windows.insert(0, (t_lo, t_star, 1e-12, ("f", msq, 0)))
@@ -110,49 +109,21 @@ def _zeta_job(key: tuple) -> tuple:
         assembly = 4.0 * _EPS * math.fsum(abs(x) for x in terms)
         zeta_prime0 = math.fsum(terms)
         # det_zeta is inf once zeta'(0) < -709.78; zeta_prime0 stays its certified log
-        result = ZetaResult(zeta0=a0t, zeta_prime0=zeta_prime0, det_zeta=_exp(-zeta_prime0),
-                            err_bound=f_bound + g_bound + assembly, excluded_zero_modes=n0)
-        _remember(_ZETA_MEMO, key, result)
-        return result
+        return ZetaResult(zeta0=a0t, zeta_prime0=zeta_prime0, det_zeta=_exp(-zeta_prime0),
+                          err_bound=f_bound + g_bound + assembly, excluded_zero_modes=n0)
 
     return windows, t_hi, finish
 
 
-def _prefetch(model: SurfaceModel, masses, heat_masses=()) -> None:
-    """The zeta_det entries at (m^2, n0) in masses and the heat_integral ones at
-    heat_masses, at their defaults, that the memos lack, in one pass; a
-    non-finite mass is left for the call itself to refuse."""
-    missing = {}
-    for msq, n0 in masses:
-        key = (model, msq, n0, 1.0)
-        if key not in _ZETA_MEMO and key not in missing and math.isfinite(msq):
-            missing[key] = _zeta_job(key)
-    for msq in heat_masses:
-        t_hi = _lattice_ceil(_EXP_CUT / msq)
-        key = (model, msq, 1e-8, _closed_form_end(model, t_hi), t_hi)
-        if key not in heat._HEAT_MEMO:   # through the module, which may rebind its memo
-            missing[key] = _heat_job(key)
-    if missing:
-        _solve(model, list(missing.values()))
-
-
-def zeta_det(model: SurfaceModel, msq: float, exclude_zero_mode: bool = False,
-             tol: float = 1e-8, t_star: float = 1.0) -> ZetaResult:
-    """Zeta-regularized determinant of Laplacian + m^2 on the model surface."""
-    _check_mass("msq", msq, positive=False)
-    if msq == 0.0 and not exclude_zero_mode:
-        raise ValueError("msq = 0 requires exclude_zero_mode=True "
-                         "(zeta is undefined with the zero mode included)")
+def zeta_det(model: SurfaceModel, msq: float, tol: float = 1e-8) -> ZetaResult:
+    """Zeta-regularized determinant of Laplacian + m^2 on the model surface;
+    at m^2 = 0 the primed determinant det', with the zero mode removed."""
     if not (0.0 < tol <= 1e-4):
         raise ValueError("tol must lie in (0, 1e-4]")
-    # past 1e300 the G window's end e^k >= 2 t* leaves the float range
-    if not (0.0 < t_star <= 1e300):
-        raise ValueError(f"t_star must lie in (0, 1e300], got {t_star!r}")
-    n0 = 1 if (exclude_zero_mode and msq == 0.0) else 0
-    key = (model, msq, n0, t_star)
-    result = _ZETA_MEMO.get(key)
+    # through the module, which may rebind its memo
+    result = heat._MEMO.get((_zeta_job, model, msq))
     if result is None:
-        result = _solve(model, [_zeta_job(key)])[0]
+        result, = _remembered(model, [(_zeta_job, msq)])
     # tol only gates the result, so a remembered one is checked on every call
     if not (result.err_bound <= tol):
         raise ValueError(f"zeta_det bound {result.err_bound:.3e} exceeds tol {tol:.3e}")

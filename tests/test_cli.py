@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from zetasurf import (cf_mean, cli, gff, heat, parse_surface, torus_cf_image_sum,
-                      verify_anomaly, zeta)
+                      verify_anomaly)
 from zetasurf.cli import main
 
 
@@ -79,11 +79,18 @@ def test_flag_validation_names_flag(capsys):
         (("det2", "--m0", "1e200"), "--m0", "square must be finite"),
         (("det2", "--m1", "1e200"), "--m1", "square must be finite"),
         (("det-zeta", "--m0", "1e200"), "--m0", "square must be finite"),
+        # a mass whose square puts the window end e^k >= 52/m^2 past the float range
+        (("det-zeta", "--m0", "1e-160"), "--m0", "too small"),
+        (("verify-anomaly", "--m0", "1e-160", "--m1", "1"), "--m0", "too small"),
+        (("cf", "--surface", "torus:L1=1,L2=1", "--m0", "1e-160"), "--m0", "too small"),
+        (("verify-mainlemma", "--m0", "1e-160"), "--m0", "too small"),
+        (("verify-massless", "--sigma", "1e-310"), "--sigma", "too small"),
     ]
     for argv, flag, message in cases:
         code, out, err = _run(capsys, *argv)
         assert code == 1 and not out, argv
         assert flag in err and message in err, (argv, err)
+        assert err.count("\n") == 1, (argv, err)   # nothing else on stderr
 
 
 @pytest.mark.parametrize("command", ["gff-verify", "verify-all"])
@@ -258,8 +265,7 @@ def test_verify_all_twice_in_one_process_gives_one_report(capsys, monkeypatch):
     # each run starts from cold memos and recomputes every result
     outs = []
     for _ in range(2):
-        monkeypatch.setattr(zeta, "_ZETA_MEMO", {})
-        monkeypatch.setattr(heat, "_HEAT_MEMO", {})
+        monkeypatch.setattr(heat, "_MEMO", {})
         code, out, err = _run(capsys, "verify-all", "--samples", "20000", "--threads", "1")
         assert code == 0, err
         outs.append(re.sub(r'^\s*"(runtime_ms|timestamp)":.*$', "", out, flags=re.M))

@@ -16,8 +16,7 @@ TORUS = make_surface("torus", L1=1.5, L2=0.7)
 
 
 def _clear_memos():
-    zeta._ZETA_MEMO.clear()
-    heat._HEAT_MEMO.clear()
+    heat._MEMO.clear()
 
 
 _SIDES = st.floats(0.5, 2.0)
@@ -36,10 +35,9 @@ def test_default_windows_end_on_the_lattice(monkeypatch):
         return results
 
     monkeypatch.setattr(heat, "log_quadrature", recording)
-    monkeypatch.setattr(zeta, "_ZETA_MEMO", {})
-    monkeypatch.setattr(heat, "_HEAT_MEMO", {})
+    monkeypatch.setattr(heat, "_MEMO", {})
     for model in (SPHERE, TORUS, make_surface("torus", L1=1, L2=2)):
-        zeta_det(model, 0.0, exclude_zero_mode=True)
+        zeta_det(model, 0.0)
         for msq in (0.5, 1.0, 4.0):
             zeta_det(model, msq)
             heat_integral(model, msq)
@@ -53,8 +51,7 @@ def test_default_windows_end_on_the_lattice(monkeypatch):
 
 @pytest.mark.parametrize("model", [SPHERE, TORUS])
 def test_one_pass_per_cold_verifier_and_none_when_repeated(model, monkeypatch):
-    monkeypatch.setattr(zeta, "_ZETA_MEMO", {})
-    monkeypatch.setattr(heat, "_HEAT_MEMO", {})
+    monkeypatch.setattr(heat, "_MEMO", {})
     passes, evaluated = [], []   # windows per log_quadrature call, points per E batch
     quadrature, excess_at = heat.log_quadrature, heat._weyl_excess
     monkeypatch.setattr(heat, "log_quadrature",
@@ -117,6 +114,15 @@ _STRESS_SURFACES = ([make_surface("sphere", R=r) for r in (0.01, 1.0, 30.0, 1000
 _STRESS_MASSES = np.geomspace(1e-4, 1e6, 12).tolist()
 
 
+def _zeta_at(model, msq, t_star):
+    """zeta_det with the split point at t_star, solved from its private job
+    (so never remembered), and refused where zeta_det would refuse it."""
+    res = heat._solve(model, [zeta._zeta_job(model, msq, t_star)])[0]
+    if not res.err_bound <= 1e-8:
+        raise ValueError("zeta_det bound exceeds tol")
+    return res
+
+
 def _stress_outcomes(monkeypatch, rule):
     monkeypatch.setattr(sumtools, "_N_LO", rule[0])
     monkeypatch.setattr(sumtools, "_N_HI", rule[1])
@@ -124,7 +130,7 @@ def _stress_outcomes(monkeypatch, rule):
     out = []
     for model in _STRESS_SURFACES:
         for msq in _STRESS_MASSES:
-            quantities = [lambda ts=ts: zeta_det(model, msq, t_star=ts) for ts in (0.1, 1.0, 3.0)]
+            quantities = [lambda ts=ts: _zeta_at(model, msq, ts) for ts in (0.1, 1.0, 3.0)]
             quantities.append(lambda: heat_integral(model, msq))
             for quantity in quantities:
                 try:
@@ -138,8 +144,7 @@ def _stress_outcomes(monkeypatch, rule):
 
 
 def test_panel_rule_agrees_with_a_finer_reference_within_both_bounds(monkeypatch):
-    monkeypatch.setattr(zeta, "_ZETA_MEMO", {})
-    monkeypatch.setattr(heat, "_HEAT_MEMO", {})
+    monkeypatch.setattr(heat, "_MEMO", {})
     rule = sumtools._N_LO, sumtools._N_HI
     reference = _stress_outcomes(monkeypatch, (64, 96))
     outcomes = _stress_outcomes(monkeypatch, rule)

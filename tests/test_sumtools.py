@@ -21,7 +21,7 @@ def _panel_quad(fn, u_lo, u_hi, n_lo, n_hi):
     return vals[1], abs(vals[1] - vals[0])
 
 
-def _per_panel_quadrature(fn, t_lo, t_hi, abs_tol=1e-12, max_splits=60):
+def _per_panel_quadrature(fn, t_lo, t_hi, abs_tol=1e-12):
     """The quadrature evaluated panel by panel: the oracle for the batched pass.
     The initial edges are the integers strictly inside (ln t_lo, ln t_hi) and
     the two ends."""
@@ -33,7 +33,7 @@ def _per_panel_quadrature(fn, t_lo, t_hi, abs_tol=1e-12, max_splits=60):
         v, e = _panel_quad(fn, a, b, n_lo, n_hi)
         panels.append([a, b, e, v])
     splits = 0
-    while splits < max_splits and sum(p[2] for p in panels) > abs_tol:
+    while splits < sumtools._MAX_SPLITS and sum(p[2] for p in panels) > abs_tol:
         worst = max(range(len(panels)), key=lambda i: panels[i][2])
         a, b, _, _ = panels[worst]
         mid = 0.5 * (a + b)
@@ -88,8 +88,9 @@ def test_batched_passes_match_per_panel_oracle_on_torus_f_and_g(lengths):
     _check_against_oracle(lambda t: _theta(model, 1.0, t) / t, 1.0, 52.0, abs_tol=1e-12)
 
 
-def test_batched_passes_match_per_panel_oracle_on_exhausted_budget():
-    quad, calls = _check_against_oracle(np.sqrt, 1e-3, 1.0, abs_tol=1e-300, max_splits=3)
+def test_batched_passes_match_per_panel_oracle_on_exhausted_budget(monkeypatch):
+    monkeypatch.setattr(sumtools, "_MAX_SPLITS", 3)
+    quad, calls = _check_against_oracle(np.sqrt, 1e-3, 1.0, abs_tol=1e-300)
     assert quad.splits == 3
     # the 7 initial panels in one call, then both children of each split in one
     nodes = sumtools._N_LO + sumtools._N_HI

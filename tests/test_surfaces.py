@@ -35,6 +35,15 @@ def test_nonpositive_parameters_rejected(kind, params, name):
         make_surface(kind, **params)
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("recttorus", {"L1": 1, "L2": 1}), ("rect_torus", {"L1": 1, "L2": 1}),
+    ("sphere", {"radius": 1}), ("torus", {"l1": 1, "l2": 1}),
+])
+def test_only_the_documented_spellings_are_accepted(kind, params):
+    with pytest.raises(ValueError):
+        make_surface(kind, **params)
+
+
 def test_parse_surface_roundtrip():
     s = parse_surface("sphere:R=2.5")
     assert s.kind == "sphere" and s.radius == 2.5

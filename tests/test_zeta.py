@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zetasurf import (dirichlet_trace, heat_coeffs, heat_integral, laurent_fit,
-                      make_surface, parse_surface, zeta_det)
+                      make_surface, parse_surface, verify_massless, zeta_det)
 from zetasurf import heat, zeta
 from zetasurf.sumtools import stable_sum
 
@@ -26,15 +26,15 @@ def test_zeta0_equals_heat_coefficient():
 
 
 def test_det_zeta_prime_literature_oracle():
-    res = zeta_det(SPHERE, 0.0, exclude_zero_mode=True)
+    res = zeta_det(SPHERE, 0.0)
     assert res.excluded_zero_modes == 1
     assert res.det_zeta == pytest.approx(DETP_SPHERE, abs=1e-8)
 
 
 def test_split_point_invariance():
-    base = zeta_det(TORUS, 1.0, t_star=1.0)
+    base = zeta_det(TORUS, 1.0)
     for ts in (0.5, 2.0):
-        other = zeta_det(TORUS, 1.0, t_star=ts)
+        other = heat._solve(TORUS, [zeta._zeta_job(TORUS, 1.0, ts)])[0]
         tol = base.err_bound + other.err_bound + 1e-12
         assert abs(base.zeta_prime0 - other.zeta_prime0) <= tol
 
@@ -57,11 +57,6 @@ def test_det_zeta_mass_dependence_follows_trace_finite_part():
     slope = (math.log(dets[1.05]) - math.log(dets[1.0])) / 0.05
     tr_c2 = dirichlet_trace(SPHERE, 1.0, 1.0).value
     assert slope == pytest.approx(c0_small - 0.025 * tr_c2, abs=2e-3)
-
-
-def test_massless_requires_exclusion():
-    with pytest.raises(ValueError, match="zero"):
-        zeta_det(SPHERE, 0.0)
 
 
 def test_dirichlet_trace_brute_oracle():
@@ -234,7 +229,7 @@ def test_zeta_tolerance_contract():
 @pytest.mark.parametrize("radius", [0.78, 2.0, 10.0])
 def test_det_zeta_prime_sphere_scale_law(radius):
     # det'_zeta on the sphere of radius R is R^{4/3} times the unit value
-    res = zeta_det(make_surface("sphere", R=radius), 0.0, exclude_zero_mode=True)
+    res = zeta_det(make_surface("sphere", R=radius), 0.0)
     assert res.det_zeta == pytest.approx(DETP_SPHERE * radius ** (4.0 / 3.0), rel=1e-8)
 
 
@@ -248,10 +243,10 @@ def test_memo_shared_by_equal_surfaces():
     a, b = make_surface("torus", L1=1.3, L2=0.7), make_surface("torus", L1=1.3, L2=0.7)
     assert a is not b and a == b
     first = zeta_det(a, 1.7)
-    size = len(zeta._ZETA_MEMO)
+    size = len(heat._MEMO)
     assert zeta_det(b, 1.7) == first
-    assert len(zeta._ZETA_MEMO) == size
-    assert (b, 1.7, 0, 1.0) in zeta._ZETA_MEMO
+    assert len(heat._MEMO) == size
+    assert (zeta._zeta_job, b, 1.7) in heat._MEMO
 
 
 def test_memo_checks_tol_on_every_call():
@@ -259,7 +254,7 @@ def test_memo_checks_tol_on_every_call():
     # tol = 1e-4, over the default 1e-8
     res = zeta_det(SPHERE, 1e6, tol=1e-4)
     assert 1e-8 < res.err_bound <= 1e-4
-    assert (SPHERE, 1e6, 0, 1.0) in zeta._ZETA_MEMO
+    assert (zeta._zeta_job, SPHERE, 1e6) in heat._MEMO
     with pytest.raises(ValueError, match="exceeds tol"):
         zeta_det(SPHERE, 1e6)
     assert zeta_det(SPHERE, 1e6, tol=1e-4) == res
@@ -298,9 +293,30 @@ def test_sphere_zeta_prime_at_the_quarter_mass(radius):
 
 def test_memos_never_exceed_cap(monkeypatch):
     monkeypatch.setattr(heat, "_MEMO_CAP", 3)
-    monkeypatch.setattr(zeta, "_ZETA_MEMO", {})
-    monkeypatch.setattr(heat, "_HEAT_MEMO", {})
+    monkeypatch.setattr(heat, "_MEMO", {})
     for msq in np.linspace(1.0, 2.0, 8):
         zeta_det(TORUS12, float(msq))
         heat_integral(TORUS12, float(msq))
-        assert len(zeta._ZETA_MEMO) <= 3 and len(heat._HEAT_MEMO) <= 3
+        assert len(heat._MEMO) <= 3
+    # a verifier's eight determinants, more than the cap, are all returned
+    verify_massless(TORUS12, 1.5)
+    assert len(heat._MEMO) <= 3
+
+
+def test_other_windows_never_enter_the_memo(monkeypatch):
+    # the split point and the heat window are private job arguments: a result
+    # solved off the default never reaches the memo that the defaults share
+    monkeypatch.setattr(heat, "_MEMO", {})
+    heat._solve(TORUS, [zeta._zeta_job(TORUS, 1.0, 2.0), heat._heat_job(TORUS, 1.0, 2e-5, 26.0)])
+    assert heat._MEMO == {}
+    res, integral = zeta_det(TORUS, 1.0), heat_integral(TORUS, 1.0)
+    assert heat._MEMO == {(zeta._zeta_job, TORUS, 1.0): res,
+                          (heat._heat_job, TORUS, 1.0): integral}
+    assert integral.quadrature_profile["t_lo"] != 2e-5
+
+
+def test_massless_determinant_is_det_prime():
+    # m^2 = 0 removes the zero mode: zeta(0) = chi/6 - 1
+    res = zeta_det(TORUS12, 0.0)
+    assert res.excluded_zero_modes == 1 and res.zeta0 == -1.0
+    assert zeta_det(TORUS12, 1.0).excluded_zero_modes == 0
