@@ -6,9 +6,9 @@ identities relating them."""
 __version__ = "0.1.0"
 
 from .anomaly import (AnomalyReport, MasslessReport, mass_shift_prefactor, verify_anomaly,
-                      verify_massless)
+                      verify_cf, verify_laurent, verify_massless)
 from .bessel import k0
-from .gff import MCEstimate, measure_estimates
+from .gff import MCEstimate, measure_estimates, verify_gff
 from .green import Det2Result, FinitePart, cf_mean, det2, gamma0, torus_cf_image_sum
 from .heat import HeatCoeffs, HeatIntegral, heat_coeffs, heat_integral, heat_trace
 from .surfaces import SurfaceModel, eigen_arrays, make_surface, parse_surface
@@ -24,6 +24,6 @@ __all__ = [
     "Det2Result", "FinitePart", "gamma0", "det2", "cf_mean",
     "torus_cf_image_sum", "k0",
     "AnomalyReport", "MasslessReport", "verify_anomaly",
-    "mass_shift_prefactor", "verify_massless",
-    "MCEstimate", "measure_estimates",
+    "mass_shift_prefactor", "verify_massless", "verify_laurent", "verify_cf",
+    "MCEstimate", "measure_estimates", "verify_gff",
 ]

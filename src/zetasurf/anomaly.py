@@ -18,6 +18,10 @@ given by the Dirichlet-trace finite part.
 The /2 exponent assembly is the one consistent with the prefactor identity;
 the report carries a note quantifying the alternative exp(sigma gamma0 A)
 assembly so the discrepancy between the two stays visible.
+
+Laurent structure (`verify_laurent`): tr C^{s+1} has the Weyl residue A/4 pi
+and the finite part `heat_integral`.  C_f (`verify_cf`): on a torus the heat
+route and the image sum agree within their two bounds.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .green import det2, gamma0
+from .green import cf_mean, det2, gamma0, torus_cf_image_sum
 from .heat import _check_mass, _exp, _heat_job, _remembered, heat_integral
 from .sumtools import _EPS, neville_zero
 from .surfaces import SurfaceModel
@@ -38,6 +42,8 @@ __all__ = [
     "verify_anomaly",
     "mass_shift_prefactor",
     "verify_massless",
+    "verify_laurent",
+    "verify_cf",
 ]
 
 _EULER = float(np.euler_gamma)
@@ -201,3 +207,38 @@ def verify_massless(model: SurfaceModel, sigma: float, tol: float = 1e-4) -> Mas
         inputs={"surface": model.label(), "sigma": sigma,
                 "m0_sequence": seq, "tol": tol},
     )
+
+
+def verify_laurent(model: SurfaceModel, m0sq: float) -> dict:
+    """The Laurent record of tr C^{s+1} at m0^2: the fitted residue equals the
+    Weyl residue A/4 pi to 4 ulps, and the fitted finite part `heat_integral`
+    within the sum of their bounds."""
+    fit = laurent_fit(model, m0sq)
+    integral = heat_integral(model, m0sq)
+    weyl = model.area / _FOUR_PI
+    finite_diff = abs(fit.finite_part - integral.value)
+    return {
+        "check": "mainlemma-laurent",
+        "surface": model.label(), "m0sq": m0sq,
+        "residue_fit": fit.residue, "residue_weyl": weyl,
+        "finite_part_fit": fit.finite_part, "finite_part_bound": fit.err_bound,
+        "heat_integral": integral.value, "heat_integral_bound": integral.abs_error_bound,
+        "finite_part_abs_diff": finite_diff,
+        "pass": bool(abs(fit.residue - weyl) <= 4.0 * _EPS * weyl
+                     and finite_diff <= fit.err_bound + integral.abs_error_bound),
+    }
+
+
+def verify_cf(model: SurfaceModel, m0: float) -> dict:
+    """The two-oracle C_f record on a torus at mass m0: the heat route and the
+    image sum differ by at most the sum of their err_bounds."""
+    if model.kind != "torus":
+        raise ValueError(f"verify_cf needs a torus (the image sum's surface), got {model.label()}")
+    heat_part = cf_mean(model, m0 * m0)
+    image = torus_cf_image_sum(model.l1, model.l2, m0)
+    diff, bound = abs(heat_part.cf_mean - image.cf_mean), heat_part.err_bound + image.err_bound
+    return {
+        "check": "cf-two-oracle", "surface": model.label(),
+        "cf_heat": heat_part.cf_mean, "cf_image": image.cf_mean, "abs_diff": diff,
+        "bound": bound, "pass": bool(diff <= bound),
+    }

@@ -1,8 +1,8 @@
 """Command-line front end: parse a surface/mass specification, dispatch the
 verifiers, and emit machine-readable reports.
 
-Reports are built from the library verifiers, not derived again here: each
-verify-all `anomaly-grid` row is a `verify_anomaly` report, and the rows share
+Reports are built from the library verifiers, not derived again here: every
+verdict is a verifier's `pass`, and the verify-all `anomaly-grid` rows share
 their determinants and heat integrals through the library's memo.
 
 Reports are JSON (default) or a flat CSV projection.  Every float is printed
@@ -28,15 +28,12 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .anomaly import verify_anomaly, verify_massless
-from .gff import _prefetch, measure_estimates
-from .green import cf_mean, det2, torus_cf_image_sum
+from .anomaly import verify_anomaly, verify_cf, verify_laurent, verify_massless
+from .gff import verify_gff
+from .green import cf_mean, det2
 from .heat import _window_end, heat_coeffs, heat_integral, heat_trace
-from .sumtools import _EPS
 from .surfaces import parse_surface
-from .zeta import laurent_fit, zeta_det
-
-_FOUR_PI = 4.0 * math.pi
+from .zeta import zeta_det
 
 COMMANDS = ("heat-trace", "det-zeta", "det2", "cf", "verify-anomaly",
             "verify-mainlemma", "verify-massless", "gff-verify", "verify-all")
@@ -185,21 +182,14 @@ def _cmd_cf(args) -> tuple[list, bool]:
            "heat_integral": integral.value,
            "heat_integral_bound": integral.abs_error_bound,
            "quadrature_profile": integral.quadrature_profile}
-    ok = True
+    ok = True   # the sphere has no second route: its record only reports values
     if model.kind == "torus":
-        image, diff, bound = _cf_two_routes(heat_part, model, args.m0)
-        ok = diff <= bound
-        rec.update({"cf_mean_image": image, "abs_diff": diff, "bound": bound})
-    rec["pass"] = bool(ok)
+        two = verify_cf(model, args.m0)
+        ok = two["pass"]
+        rec.update({"cf_mean_image": two["cf_image"], "abs_diff": two["abs_diff"],
+                    "bound": two["bound"]})
+    rec["pass"] = ok
     return [rec], ok
-
-
-def _cf_two_routes(heat_part, model, m0) -> tuple[float, float, float]:
-    """C_f on a torus by the image sum, its distance from the heat route's
-    heat_part and the sum of their err_bounds, which the distance may not exceed."""
-    image = torus_cf_image_sum(model.l1, model.l2, m0)
-    return (image.cf_mean, abs(heat_part.cf_mean - image.cf_mean),
-            heat_part.err_bound + image.err_bound)
 
 
 def _cmd_verify_anomaly(args) -> tuple[list, bool]:
@@ -208,25 +198,8 @@ def _cmd_verify_anomaly(args) -> tuple[list, bool]:
     return [report.to_dict()], report.passed
 
 
-def _mainlemma_record(model, m0sq) -> dict:
-    fit = laurent_fit(model, m0sq)
-    integral = heat_integral(model, m0sq)
-    weyl = model.area / _FOUR_PI
-    finite_diff = abs(fit.finite_part - integral.value)
-    return {
-        "check": "mainlemma-laurent",
-        "surface": model.label(), "m0sq": m0sq,
-        "residue_fit": fit.residue, "residue_weyl": weyl,
-        "finite_part_fit": fit.finite_part, "finite_part_bound": fit.err_bound,
-        "heat_integral": integral.value, "heat_integral_bound": integral.abs_error_bound,
-        "finite_part_abs_diff": finite_diff,
-        "pass": bool(abs(fit.residue - weyl) <= 4.0 * _EPS * weyl
-                     and finite_diff <= fit.err_bound + integral.abs_error_bound),
-    }
-
-
 def _cmd_verify_mainlemma(args) -> tuple[list, bool]:
-    rec = _mainlemma_record(parse_surface(args.surface), args.m0 * args.m0)
+    rec = verify_laurent(parse_surface(args.surface), args.m0 * args.m0)
     return [rec], rec["pass"]
 
 
@@ -236,46 +209,17 @@ def _cmd_verify_massless(args) -> tuple[list, bool]:
     return [report.to_dict()], report.passed
 
 
-def _gff_record(model, m0, m1, lam_max, n, seed, threads) -> dict:
-    est, rw = measure_estimates(model, m0, m1, lam_max, n, seed, mode=0, threads=threads)
-    ok = abs(est.z_score) < 3.0 and abs(rw.z_score) < 4.0
-    return {
-        "check": "gff-measure-identity",
-        "surface": model.label(), "m0": m0, "m1": m1, "lam_max": lam_max,
-        "n_samples": n, "seed": seed,
-        "mean": est.mean, "stderr": est.stderr, "target": est.target,
-        "z_score": est.z_score,
-        "reweighted_mode0": {"mean": rw.mean, "stderr": rw.stderr,
-                             "target": rw.target, "z_score": rw.z_score},
-        "pass": bool(ok),
-    }
-
-
 def _cmd_gff_verify(args) -> tuple[list, bool]:
     model = parse_surface(args.surface)
     with _names("--lambda-max"):
-        rec = _gff_record(model, args.m0, args.m1, args.lambda_max, args.samples,
-                          args.seed, args.threads)
+        rec = verify_gff(model, args.m0, args.m1, args.lambda_max, args.samples,
+                         args.seed, args.threads)
     return [rec], rec["pass"]
 
 
-_GFF_SPHERE = (1.0, 1.0, 42.0)   # verify-all's GFF record on the sphere: m0, m1, lam_max
-
-
 def _cmd_verify_all(args) -> tuple[list, bool]:
-    surfaces = ["sphere:R=1", "torus:L1=1,L2=1", "torus:L1=1,L2=2"]
-    models = [parse_surface(s) for s in surfaces]
-    # the GFF draw runs on the helper threads while the deterministic records
-    # are built; the GFF record's measure_estimates call finishes it
-    cancel_gff = _prefetch(models[0], *_GFF_SPHERE, args.samples, args.seed,
-                           mode=0, threads=args.threads)
-    try:
-        return _verify_all_records(args, models)
-    finally:
-        cancel_gff()
-
-
-def _verify_all_records(args, models) -> tuple[list, bool]:
+    models = [parse_surface(s) for s in ("sphere:R=1", "torus:L1=1,L2=1", "torus:L1=1,L2=2")]
+    sphere, torus11 = models[0], models[1]
     results = []
 
     # determinant mass-shift identity across the acceptance grid
@@ -290,29 +234,10 @@ def _verify_all_records(args, models) -> tuple[list, bool]:
                     "budget_breakdown": rep.budget_breakdown, "pass": rep.passed,
                 })
 
-    # Laurent structure: the residue and the finite part against heat_integral
-    for model in models:
-        results.append(_mainlemma_record(model, 1.0))
-
-    # two-oracle C_f on the unit torus
-    sphere, torus11 = models[0], models[1]
-    heat_part = cf_mean(torus11, 1.0)
-    cf_image, diff, bound = _cf_two_routes(heat_part, torus11, 1.0)
-    results.append({
-        "check": "cf-two-oracle", "surface": torus11.label(),
-        "cf_heat": heat_part.cf_mean, "cf_image": cf_image, "abs_diff": diff,
-        "bound": bound, "pass": bool(diff <= bound),
-    })
-
-    # massless limit on the sphere
-    results.append(verify_massless(sphere, 1.0).to_dict())
-
-    # GFF measure identity
-    results.append(_gff_record(sphere, *_GFF_SPHERE, args.samples, args.seed,
-                               args.threads))
-
-    ok = all(r.get("pass", True) for r in results)
-    return results, ok
+    results += [verify_laurent(model, 1.0) for model in models]
+    results += [verify_cf(torus11, 1.0), verify_massless(sphere, 1.0).to_dict(),
+                verify_gff(sphere, 1.0, 1.0, 42.0, args.samples, args.seed, args.threads)]
+    return results, all(r["pass"] for r in results)
 
 
 _DISPATCH = {
@@ -377,6 +302,8 @@ def _validate_config(args) -> None:
             raise ValueError(f"--{flag}: its square must be finite")
     if args.m0 < 0:
         raise ValueError("--m0 must be >= 0")
+    if args.m0 > 0 and args.m0 * args.m0 == 0:   # would run as m0 = 0
+        raise ValueError(f"--m0={args.m0!r}: its square underflows to 0")
     # m0 = 0 selects the massless trace or primed determinant elsewhere
     if args.command in _NEEDS_MASS and not args.m0 * args.m0 > 0:
         raise ValueError(f"--m0: {_NEEDS_MASS[args.command]}")

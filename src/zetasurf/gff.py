@@ -43,9 +43,7 @@ its line.
 
 Threads: with `threads` = N the chunks are claimed in index order, under a
 lock, by whichever of N threads is free: N - 1 helper threads and the calling
-thread, which then joins the helpers and reduces.  verify-all starts its
-sphere record's draw this way before its deterministic records, and the
-final call with the same arguments finishes it.
+thread, which then joins the helpers and reduces.
 
 The identity's target is `det2`'s truncated log, the sum of log1p x - x over
 the modes of the lines drawn (`surfaces`).  The weights are summed as
@@ -66,7 +64,7 @@ from .green import det2
 from .heat import _check_mass
 from .surfaces import _MAX_SPECTRUM_POINTS, SurfaceModel, eigen_arrays
 
-__all__ = ["MCEstimate", "measure_estimates"]
+__all__ = ["MCEstimate", "measure_estimates", "verify_gff"]
 
 # samples per chunk: the unit of the (seed, chunk) stream and of thread work
 _CHUNK = 65536
@@ -251,100 +249,34 @@ def _measure_chunk_stats(draw: _Draw, seed: int, idx: int, size: int) -> dict:
     }
 
 
-class _ChunkRun:
-    """The chunks of one pass, claimed in index order under a lock by
-    whichever thread is free: min(threads, chunks) - 1 helpers, started at
-    once, and the thread that calls `finish`.  The first exception stops
-    further claims and is raised by `finish` once every helper is joined."""
+def _drawn(work, chunks: int, threads: int | None) -> list:
+    """work(i) for each chunk i, in chunk order.  The chunks are claimed in
+    index order under a lock by whichever thread is free: the caller and
+    min(threads, chunks) - 1 helpers.  The first exception stops further
+    claims and is raised once every helper is joined."""
+    stats, claims, errors, lock = [None] * chunks, iter(range(chunks)), [], Lock()
 
-    def __init__(self, work, chunks, threads):
-        self._work, self._chunks = work, chunks
-        self._stats = [None] * chunks
-        self._next = 0
-        self._stop = False
-        self._error = None
-        self._lock = Lock()
-        self._helpers = [Thread(target=self._drain, daemon=True)
-                         for _ in range(min(threads or 1, chunks) - 1)]
-        for helper in self._helpers:
-            helper.start()
-
-    def _claim(self):
-        with self._lock:
-            if self._stop or self._next == self._chunks:
-                return None
-            self._next += 1
-            return self._next - 1
-
-    def _drain(self):
+    def drain():
         try:
-            while (i := self._claim()) is not None:
-                self._stats[i] = self._work(i)
+            while True:
+                with lock:
+                    i = None if errors else next(claims, None)
+                if i is None:
+                    return
+                stats[i] = work(i)
         except BaseException as exc:
-            with self._lock:
-                self._stop = True
-                if self._error is None:
-                    self._error = exc
+            with lock:
+                errors.append(exc)
 
-    def cancel(self):
-        """Stop further claims and join the helpers."""
-        with self._lock:
-            self._stop = True
-        for helper in self._helpers:
-            helper.join()
-
-    def finish(self):
-        """Draw what is left, join the helpers and return the chunk stats in
-        chunk order."""
-        self._drain()
-        for helper in self._helpers:
-            helper.join()
-        if self._error is not None:
-            raise self._error
-        return self._stats
-
-
-# runs started ahead of their measure_estimates call, by its full argument key
-_PENDING: dict[tuple, tuple[float, _ChunkRun]] = {}
-
-
-def _start(model, m0, m1, lam_max, n, seed, threads, mode):
-    """Check the arguments, build the spectrum and start drawing the chunks;
-    returns the measured mode's eigenvalue and the run."""
-    _check_mass("m0", m0)
-    _check_mass("m1", m1, positive=False)
-    _check_mass("m0sq", m0 * m0)
-    _check_mass("m1sq", m1 * m1, positive=False)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
-    chunk, rows = _CHUNK, min(_CHUNK, n)
-    lams, mults = _checked_spectrum(model, lam_max, rows, m0 * m0)
-    ends = np.cumsum(mults)
-    if not 0 <= mode < int(ends[-1]):
-        raise ValueError(f"mode must be in [0, {int(ends[-1])})")
-    line = int(np.searchsorted(ends, mode, side="right"))
-    draw = _Draw(m0 * m0, m1 * m1, lams, mults, line, rows)
-    work = lambda i: _measure_chunk_stats(draw, seed, i, min(chunk, n - i * chunk))
-    return float(lams[line]), _ChunkRun(work, (n + chunk - 1) // chunk, threads)
-
-
-def _prefetch(model: SurfaceModel, m0: float, m1: float, lam_max: float, n: int,
-              seed: int, mode: int = 0, threads: int | None = None):
-    """Start the draw of `measure_estimates` with the same arguments now, on
-    its helper threads; that call joins in and finishes it.  Returns a
-    function that stops the run and drops it if that call has not taken it."""
-    key = (model, m0, m1, lam_max, n, seed, threads, mode)
-    pending = _start(*key)
-    _PENDING[key] = pending
-
-    def cancel():
-        if _PENDING.get(key) is pending:
-            del _PENDING[key]
-        pending[1].cancel()
-
-    return cancel
+    helpers = [Thread(target=drain, daemon=True) for _ in range(min(threads or 1, chunks) - 1)]
+    for helper in helpers:
+        helper.start()
+    drain()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return stats
 
 
 def _unscaled(x: float, shift: float) -> float:
@@ -362,9 +294,23 @@ def measure_estimates(model: SurfaceModel, m0: float, m1: float, lam_max: float,
     E[exp(-m1^2 W_C / 2)] against the exact truncated product, and the
     reweighted second moment E[w phi_mode^2]/E[w] against
     1/(m0^2 + m1^2 + lambda_mode)."""
-    key = (model, m0, m1, lam_max, n, seed, threads, mode)
-    lam_mode, run = _PENDING.pop(key, None) or _start(*key)
-    stats = run.finish()
+    _check_mass("m0", m0)
+    _check_mass("m1", m1, positive=False)
+    _check_mass("m0sq", m0 * m0)
+    _check_mass("m1sq", m1 * m1, positive=False)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    chunk, rows = _CHUNK, min(_CHUNK, n)
+    lams, mults = _checked_spectrum(model, lam_max, rows, m0 * m0)
+    ends = np.cumsum(mults)
+    if not 0 <= mode < int(ends[-1]):
+        raise ValueError(f"mode must be in [0, {int(ends[-1])})")
+    line = int(np.searchsorted(ends, mode, side="right"))
+    draw = _Draw(m0 * m0, m1 * m1, lams, mults, line, rows)
+    stats = _drawn(lambda i: _measure_chunk_stats(draw, seed, i, min(chunk, n - i * chunk)),
+                   (n + chunk - 1) // chunk, threads)
     shift = max(st["shift"] for st in stats)
     scale1 = [math.exp(st["shift"] - shift) for st in stats]
     scale2 = [math.exp(2.0 * (st["shift"] - shift)) for st in stats]
@@ -396,7 +342,24 @@ def measure_estimates(model: SurfaceModel, m0: float, m1: float, lam_max: float,
     cov = sums["ab"] / n - mu_a * mean
     var_r = (var_a - 2.0 * ratio * cov + ratio ** 2 * var_b) / (mean ** 2)
     stderr = math.sqrt(max(0.0, var_r) / n)
-    target = 1.0 / (m0 * m0 + m1 * m1 + lam_mode)
+    target = 1.0 / (m0 * m0 + m1 * m1 + float(lams[line]))
     z = 0.0 if stderr == 0.0 else (ratio - target) / stderr
     return identity, MCEstimate(mean=ratio, stderr=stderr, n_samples=n, target=target,
                                 z_score=z)
+
+
+def verify_gff(model: SurfaceModel, m0: float, m1: float, lam_max: float, n: int,
+               seed: int, threads: int | None = None) -> dict:
+    """The GFF measure-identity record: the identity estimate within 3 and the
+    reweighted second moment of mode 0 within 4 standard errors of their targets."""
+    est, rw = measure_estimates(model, m0, m1, lam_max, n, seed, mode=0, threads=threads)
+    return {
+        "check": "gff-measure-identity",
+        "surface": model.label(), "m0": m0, "m1": m1, "lam_max": lam_max,
+        "n_samples": n, "seed": seed,
+        "mean": est.mean, "stderr": est.stderr, "target": est.target,
+        "z_score": est.z_score,
+        "reweighted_mode0": {"mean": rw.mean, "stderr": rw.stderr,
+                             "target": rw.target, "z_score": rw.z_score},
+        "pass": bool(abs(est.z_score) < 3.0 and abs(rw.z_score) < 4.0),
+    }

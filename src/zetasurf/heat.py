@@ -160,11 +160,13 @@ def _theta_direct(model: SurfaceModel, t: np.ndarray) -> np.ndarray:
     levels; the torus multiplies its two 1-D Jacobi sums
     theta_i = 1 + 2 sum_{p>=1} e^{-t (2 pi p / L_i)^2}."""
     lam_max = _EXP_CUT / min(_switch(model), float(t.min()))
-    if model.kind == "sphere":
-        lams, mults = eigen_arrays(model, lam_max)
-        return (np.exp(np.outer(t, -lams)) * mults).sum(axis=1)
-    exponents, starts = _jacobi_exponents(model.l1, model.l2, lam_max)
-    sums = np.add.reduceat(np.exp(t[:, None] * exponents), starts, axis=1)
+    # at the window end of a tiny mass -t lambda overflows to -inf: its term is exactly 0
+    with np.errstate(over="ignore"):
+        if model.kind == "sphere":
+            lams, mults = eigen_arrays(model, lam_max)
+            return (np.exp(np.outer(t, -lams)) * mults).sum(axis=1)
+        exponents, starts = _jacobi_exponents(model.l1, model.l2, lam_max)
+        sums = np.add.reduceat(np.exp(t[:, None] * exponents), starts, axis=1)
     return (1.0 + 2.0 * sums[:, 0]) * (1.0 + 2.0 * sums[:, 1])
 
 

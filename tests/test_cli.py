@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from zetasurf import (cf_mean, cli, gff, heat, parse_surface, torus_cf_image_sum,
-                      verify_anomaly)
+                      verify_anomaly, verify_cf, verify_gff, verify_laurent)
 from zetasurf.cli import main
 
 
@@ -85,6 +85,10 @@ def test_flag_validation_names_flag(capsys):
         (("cf", "--surface", "torus:L1=1,L2=1", "--m0", "1e-160"), "--m0", "too small"),
         (("verify-mainlemma", "--m0", "1e-160"), "--m0", "too small"),
         (("verify-massless", "--sigma", "1e-310"), "--sigma", "too small"),
+        # a positive mass whose square underflows to 0 would run as m0 = 0
+        (("det-zeta", "--m0", "1e-200"), "--m0", "underflows to 0"),
+        (("heat-trace", "--m0", "1e-200"), "--m0", "underflows to 0"),
+        (("det2", "--m0", "1e-200"), "--m0", "underflows to 0"),
     ]
     for argv, flag, message in cases:
         code, out, err = _run(capsys, *argv)
@@ -251,7 +255,8 @@ def test_line_level_gff_not_refused_on_mode_count(capsys):
 def test_verify_all_anomaly_rows_are_verify_anomaly_reports(capsys):
     code, out, err = _run(capsys, "verify-all", "--samples", "20000", "--threads", "1")
     assert code == 0, err
-    rows = [r for r in json.loads(out)["results"] if r.get("check") == "anomaly-grid"]
+    results = json.loads(out)["results"]
+    rows = [r for r in results if r.get("check") == "anomaly-grid"]
     assert len(rows) == 27
     for row in rows:
         rep = verify_anomaly(parse_surface(row["surface"]), row["m0sq"], row["m1sq"],
@@ -259,6 +264,24 @@ def test_verify_all_anomaly_rows_are_verify_anomaly_reports(capsys):
         assert (row["rel_residual"], row["error_budget"], row["pass"]) == (
             rep.rel_residual, rep.error_budget, rep.passed)
         assert row["budget_breakdown"] == rep.budget_breakdown
+    # the other verdicts are the records of the library verifiers, as printed
+    others = {"mainlemma-laurent": [], "cf-two-oracle": [], "gff-measure-identity": []}
+    for rec in results:
+        others.get(rec.get("check"), []).append(rec)
+    assert [len(v) for v in others.values()] == [3, 1, 1]
+    printed = lambda rec: json.loads(cli._render_json(rec))
+    for rec in others["mainlemma-laurent"]:
+        assert rec == printed(verify_laurent(parse_surface(rec["surface"]), rec["m0sq"]))
+    rec = others["cf-two-oracle"][0]
+    assert rec == printed(verify_cf(parse_surface(rec["surface"]), 1.0))
+    rec = others["gff-measure-identity"][0]
+    assert rec == printed(verify_gff(parse_surface(rec["surface"]), rec["m0"], rec["m1"],
+                                     rec["lam_max"], rec["n_samples"], rec["seed"], threads=1))
+
+
+def test_verify_cf_refuses_a_sphere():
+    with pytest.raises(ValueError, match="torus"):
+        verify_cf(parse_surface("sphere:R=1"), 1.0)
 
 
 def test_verify_all_twice_in_one_process_gives_one_report(capsys, monkeypatch):
@@ -283,8 +306,8 @@ def test_threads_env_must_be_an_integer(capsys, monkeypatch):
 
 
 def test_verify_all_failure_cancels_the_gff_draw(capsys, monkeypatch):
-    # a record before the GFF one raises: the draw started at the top of
-    # verify-all is stopped, its helpers joined and its entry dropped
+    # a record before the GFF one raises: the draw, which runs last, starts no
+    # helper that outlives the command
     def broken(*args, **kwargs):
         raise ValueError("broken massless record")
 
@@ -292,13 +315,12 @@ def test_verify_all_failure_cancels_the_gff_draw(capsys, monkeypatch):
     baseline = threading.active_count()
     code, _, err = _run(capsys, "verify-all", "--samples", "1000000", "--threads", "3")
     assert code == 1 and "broken massless record" in err
-    assert not gff._PENDING
     assert threading.active_count() == baseline
 
 
 def test_verify_all_draws_each_gff_chunk_once(capsys, monkeypatch):
-    # the draw started at the top of verify-all is the one its GFF record
-    # finishes: 200000 samples are 4 chunks, each drawn exactly once
+    # one pass over the stream: 200000 samples are 4 chunks, each drawn exactly
+    # once, with every helper joined
     real, drawn = gff._measure_chunk_stats, []
 
     def recorded(draw, seed, idx, size):
@@ -306,7 +328,8 @@ def test_verify_all_draws_each_gff_chunk_once(capsys, monkeypatch):
         return real(draw, seed, idx, size)
 
     monkeypatch.setattr(gff, "_measure_chunk_stats", recorded)
+    baseline = threading.active_count()
     code, _, err = _run(capsys, "verify-all", "--samples", "200000", "--threads", "2")
     assert code == 0, err
     assert sorted(drawn) == [0, 1, 2, 3]
-    assert not gff._PENDING
+    assert threading.active_count() == baseline

@@ -159,29 +159,6 @@ def test_reweighted_mode_variance_worker_invariance_in_degenerate_line(monkeypat
     assert runs[0] == runs[1] == runs[2]
 
 
-def test_prefetched_run_equals_a_cold_call(monkeypatch):
-    monkeypatch.setattr(gff, "_CHUNK", 8192)
-    args = (SPHERE, 1.0, 1.0, 42.0, 50000, 9)
-    kw = dict(mode=2, threads=3)
-    cold = measure_estimates(*args, **kw)
-    cancel = gff._prefetch(*args, **kw)
-    try:
-        assert gff._PENDING
-        assert measure_estimates(*args, **kw) == cold
-        assert not gff._PENDING
-    finally:
-        cancel()
-
-
-def test_cancelled_prefetch_is_dropped_and_joined(monkeypatch):
-    monkeypatch.setattr(gff, "_CHUNK", 4096)
-    baseline = threading.active_count()
-    cancel = gff._prefetch(SPHERE, 1.0, 1.0, 42.0, 200000, 1, threads=3)
-    cancel()
-    assert not gff._PENDING
-    assert threading.active_count() == baseline
-
-
 def test_helper_exception_reaches_the_caller(monkeypatch):
     real = gff._measure_chunk_stats
 

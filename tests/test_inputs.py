@@ -1,6 +1,8 @@
 """Out-of-range masses and quadrature windows fail with a ValueError that
 names the argument."""
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +68,21 @@ def test_tiny_mass_is_refused_by_name_before_any_quadrature(fn, msq, monkeypatch
     monkeypatch.setattr(heat, "log_quadrature", lambda *args: pytest.fail("quadrature ran"))
     with pytest.raises(ValueError, match="^msq = .* is too small"):
         fn(SPHERE, msq, *([1.0] if fn is verify_anomaly else []))
+
+
+@pytest.mark.parametrize("model", [SPHERE, TORUS, make_surface("torus", L1=1, L2=2)],
+                         ids=lambda m: m.label())
+@pytest.mark.parametrize("fn", [zeta_det, heat_integral])
+@pytest.mark.parametrize("msq", [9e-306, 1e-304])
+def test_tiny_mass_inside_the_float_range_emits_no_warning(fn, model, msq):
+    # the massless trace at the window end e^k >= 52/m^2: -t lambda overflows
+    # to -inf there, and its terms are exactly 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fn(model, msq)
+        except ValueError as exc:
+            assert re.match(r"(msq|heat_integral bound)\b", str(exc)), exc
 
 
 @pytest.mark.parametrize("t_star", [1e-6, 0.05, 3.0])
