@@ -36,10 +36,10 @@ def _report(tag, ok, detail):
 
 def test_a1_anomaly_residuals():
     t0 = time.perf_counter()
-    rep_s = verify_anomaly(SPHERE, 1.0, 1.0, tol=1e-6)
+    rep_s = verify_anomaly(SPHERE, 1.0, 1.0)
     dt_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    rep_t = verify_anomaly(TORUS, 1.0, 2.0, tol=1e-6)
+    rep_t = verify_anomaly(TORUS, 1.0, 2.0)
     dt_t = time.perf_counter() - t0
     ok = (rep_s.rel_residual < 1e-6 and rep_t.rel_residual < 1e-6
           and dt_s < 10.0 and dt_t < 10.0)

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zetasurf import (det2, gamma0, heat_integral, make_surface, mass_shift_prefactor,
-                      verify_anomaly, verify_massless, zeta_det)
+from zetasurf import (anomaly, det2, gamma0, heat_integral, make_surface,
+                      mass_shift_prefactor, verify_anomaly, verify_massless, zeta_det)
 
 PI = math.pi
 EULER = float(np.euler_gamma)
@@ -22,7 +24,7 @@ def test_anomaly_trivial_shift():
 
 
 def test_anomaly_sphere_instance():
-    rep = verify_anomaly(SPHERE, 1.0, 1.0, tol=1e-6)
+    rep = verify_anomaly(SPHERE, 1.0, 1.0)
     assert rep.passed and rep.rel_residual < 1e-6
     assert set(rep.rhs_factors) == {"det_zeta_m0", "det2", "log_det2", "exp_cf_term"}
     assert rep.rhs == pytest.approx(
@@ -31,7 +33,7 @@ def test_anomaly_sphere_instance():
 
 
 def test_anomaly_torus_instance():
-    rep = verify_anomaly(TORUS, 1.0, 2.0, tol=1e-6)
+    rep = verify_anomaly(TORUS, 1.0, 2.0)
     assert rep.passed and rep.rel_residual < 1e-6
 
 
@@ -50,8 +52,39 @@ def test_anomaly_small_mass_overflowing_factor():
 @pytest.mark.parametrize("model", [SPHERE, TORUS, TORUS12])
 @pytest.mark.parametrize("m0sq", [0.5, 4.0])
 def test_anomaly_grid_corners(model, m0sq):
-    rep = verify_anomaly(model, m0sq, 2.0, tol=1e-6)
+    rep = verify_anomaly(model, m0sq, 2.0)
     assert rep.passed, (model.label(), m0sq, rep.rel_residual)
+
+
+_SURFACES = st.one_of(
+    st.floats(0.5, 2.0).map(lambda r: make_surface("sphere", R=r)),
+    st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)).map(
+        lambda sides: make_surface("torus", L1=sides[0], L2=sides[1])))
+
+
+@settings(deadline=None, max_examples=25, derandomize=True)
+@given(_SURFACES, st.floats(0.25, 4.0), st.floats(0.0, 4.0))
+def test_anomaly_verdict_is_the_residual_inside_its_budget(model, m0sq, m1sq):
+    # no tolerance enters: the verdict is the residual against the sum of its parts
+    rep = verify_anomaly(model, m0sq, m1sq)
+    assert math.isfinite(rep.rel_residual) and math.isfinite(rep.error_budget)
+    assert rep.passed == (rep.rel_residual <= rep.error_budget)
+    assert rep.error_budget == math.fsum(rep.budget_breakdown.values())
+    assert "tol" not in rep.inputs
+
+
+def test_anomaly_fails_an_inconsistency_above_its_budget(monkeypatch):
+    # det2 off by ten of its tail bounds: far inside a 1e-6 tolerance, outside the budget
+    real = anomaly.det2
+
+    def skewed(model, m0sq, m1sq):
+        res = real(model, m0sq, m1sq)
+        return dataclasses.replace(res, log_value=res.log_value + 10.0 * res.tail_bound)
+
+    monkeypatch.setattr(anomaly, "det2", skewed)
+    rep = verify_anomaly(SPHERE, 1.0, 1.0)
+    assert rep.error_budget < rep.rel_residual < 1e-6
+    assert not rep.passed
 
 
 def test_anomaly_chaining_semigroup():
